@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 from .logcoef import (
     LogCoeffVector,
     SchwarzSpec,
+    extremal,
     extremal_dorff,
     extremal_strip,
     generate_member,
@@ -53,6 +54,7 @@ from .verify import (
     per_n_bound_strip,
     reference_constants,
     rogosinski_check,
+    sharpness,
     sharpness_dorff,
     sharpness_strip,
     sum_gamma_sq,
@@ -82,6 +84,7 @@ __all__ = [
     "LogCoeffVector",
     "SchwarzSpec",
     "log_coefficients",
+    "extremal",
     "extremal_strip",
     "extremal_dorff",
     "koebe_rotation",
@@ -99,6 +102,7 @@ __all__ = [
     "membership_check",
     "convexity_probe",
     "reference_constants",
+    "sharpness",
     "sharpness_strip",
     "sharpness_dorff",
     "audit_member",

@@ -6,8 +6,9 @@ is provided for table ingestion (one report per row, header mandatory,
 17 significant digits so floats round-trip).
 
 Exit status: 0 on success, 1 when any report verdicts as violated (or a
-sharpness run misses equality), 2 on configuration errors.  Errors are
-written to stderr as structured JSON records.
+sharpness run misses equality), 2 on configuration errors, 3 on internal
+errors (any other exception).  Errors are written to stderr as
+structured JSON records.
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .logcoef import (
-    SchwarzSpec,
-    extremal_dorff,
-    extremal_strip,
-    generate_member,
-    random_schwarz_spec,
-)
+from .logcoef import SchwarzSpec, extremal_gammas, generate_member, random_schwarz_spec
 from .maps import DorffParam, StripParams
 from .polylog import li4_quadrature, li4_symmetric_circle, polylog
 from .verify import (
@@ -36,13 +31,8 @@ from .verify import (
     VIOLATED,
     BoundReport,
     audit_member,
-    bound_dorff,
-    bound_strip,
-    per_n_bound_dorff,
-    per_n_bound_strip,
     reference_constants,
-    sharpness_dorff,
-    sharpness_strip,
+    sharpness,
 )
 
 __all__ = ["main", "RunConfig"]
@@ -96,6 +86,8 @@ class RunConfig:
             raise ConfigError("order must be >= 8")
         if not 0.0 < self.radius < 1.0:
             raise ConfigError("radius must lie in (0, 1)")
+        if not np.isfinite(self.tolerance):
+            raise ConfigError("tolerance must be finite")
         if self.tolerance <= 0.0:
             raise ConfigError("tolerance must be positive")
         if self.grid_angles < 1:
@@ -109,19 +101,14 @@ class RunConfig:
         has_dorff = self.delta is not None
         if has_strip and has_dorff:
             raise ConfigError("give either --alpha/--beta or --delta, not both")
-        if has_strip:
-            if self.alpha is None or self.beta is None:
-                raise ConfigError("--alpha and --beta must be given together")
-            try:
-                return StripParams(self.alpha, self.beta)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-        if has_dorff:
-            try:
-                return DorffParam(self.delta)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-        raise ConfigError("a class is required: --alpha/--beta or --delta")
+        if not (has_strip or has_dorff):
+            raise ConfigError("a class is required: --alpha/--beta or --delta")
+        if has_strip and (self.alpha is None or self.beta is None):
+            raise ConfigError("--alpha and --beta must be given together")
+        try:
+            return StripParams(self.alpha, self.beta) if has_strip else DorffParam(self.delta)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def _json_safe(value):
@@ -171,6 +158,11 @@ def _write(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+def _error(message: str, kind: str, code: int) -> int:
+    print(json.dumps({"error": message, "kind": kind}, sort_keys=True), file=sys.stderr)
+    return code
+
+
 def _exit_code(reports: list[BoundReport]) -> int:
     return 1 if any(r.verdict == VIOLATED for r in reports) else 0
 
@@ -181,24 +173,16 @@ def _exit_code(reports: list[BoundReport]) -> int:
 def _cmd_bounds(config: RunConfig) -> tuple[list[BoundReport], int]:
     target = config.target()
     context = dict(reference_constants())
-    if isinstance(target, StripParams):
-        context.update(alpha=target.alpha, beta=target.beta, kind="bound_strip")
-        rhs = bound_strip(target)
-    else:
-        context.update(delta=target.delta, kind="bound_dorff")
-        rhs = bound_dorff(target)
-    report = BoundReport(0.0, float(rhs), 0.0, "holds", context)
+    context.update(target.describe(), kind=f"bound_{target.family}")
+    report = BoundReport(0.0, float(target.sum_bound()), 0.0, "holds", context)
     return [report], 0
 
 
 def _cmd_coeffs(config: RunConfig) -> tuple[list[BoundReport], int]:
     target = config.target()
-    if isinstance(target, StripParams):
-        _, vec = extremal_strip(target, config.order)
-        bounds = [per_n_bound_strip(target, n) for n in range(1, config.order + 1)]
-    else:
-        _, vec = extremal_dorff(target, config.order)
-        bounds = [per_n_bound_dorff(n) for n in range(1, config.order + 1)]
+    vec = extremal_gammas(target, config.order)
+    # per_n_bound(n), not audit_member's per_n_bound(1) / n: see there
+    bounds = target.per_n_bound(np.arange(1, config.order + 1))
     reports = []
     for n in range(1, config.order + 1):
         g = vec.gamma(n)
@@ -215,11 +199,7 @@ def _cmd_coeffs(config: RunConfig) -> tuple[list[BoundReport], int]:
 
 
 def _cmd_verify_sharpness(config: RunConfig) -> tuple[list[BoundReport], int]:
-    target = config.target()
-    if isinstance(target, StripParams):
-        report = sharpness_strip(target, config.order)
-    else:
-        report = sharpness_dorff(target, config.order)
+    report = sharpness(config.target(), config.order)
     return [report], 0 if report.verdict == EQUALITY else 1
 
 
@@ -394,16 +374,14 @@ def main(argv=None) -> int:
     try:
         config.validate()
         reports, code = _DISPATCH[config.command](config)
+        if config.command != "generate":
+            _write(_emit(config, reports), config.output_path)
     except ConfigError as exc:
-        record = {"error": str(exc), "kind": "config"}
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
-        return 2
+        return _error(str(exc), "config", 2)
     except ValueError as exc:
-        record = {"error": str(exc), "kind": "value"}
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
-        return 2
-    if config.command != "generate":
-        _write(_emit(config, reports), config.output_path)
+        return _error(str(exc), "value", 2)
+    except Exception as exc:  # the process boundary: a crash must not read as a verdict
+        return _error(f"{type(exc).__name__}: {exc}", "internal", 3)
     return code
 
 

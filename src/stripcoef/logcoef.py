@@ -15,20 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import (
-    DorffParam,
-    StripParams,
-    b_tilde_coeff,
-    b_tilde_series,
-    p_hat_coeff,
-    p_hat_series,
-)
+from .maps import DorffParam, StripParams, hat_series
 from .series import TruncatedSeries, log_normalized, series_exp
 
 __all__ = [
     "LogCoeffVector",
     "SchwarzSpec",
     "log_coefficients",
+    "extremal",
+    "extremal_gammas",
     "extremal_strip",
     "extremal_dorff",
     "koebe_rotation",
@@ -167,39 +162,33 @@ def _assemble_member(q_minus_1: np.ndarray) -> TruncatedSeries:
     return series_exp(t).shift(1)
 
 
-def extremal_strip(
-    p: StripParams, order: int
-) -> tuple[TruncatedSeries, LogCoeffVector]:
-    """Extremal function of the strip class and its closed-form gammas.
+def extremal_gammas(target, order: int) -> LogCoeffVector:
+    """Closed-form gammas of the target's extremal function, without its series.
 
-    The function is z * exp of the integrated strip map, so its gamma_n
-    equal half the integrated-map coefficients; by construction z f'/f
-    reproduces the strip map itself.  Series extraction and the closed
-    form agree to roundoff (checked in the test suite).
+    gamma_n is half the integrated-map coefficient; |gamma_n| <= C/n**2
+    beyond `order` with C the target's tail constant.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
-    n = np.arange(1, order + 1)
-    gammas = p_hat_coeff(p, n) / 2.0
-    f = series_exp(p_hat_series(p, order - 1)).shift(1)
-    return f, LogCoeffVector(gammas, tail_constant=p.width / np.pi)
+    gammas = target.hat_coeff(np.arange(1, order + 1)) / 2.0
+    return LogCoeffVector(gammas, tail_constant=target.tail_constant)
 
 
-def extremal_dorff(
-    d: DorffParam, order: int
-) -> tuple[TruncatedSeries, LogCoeffVector]:
-    """Extremal function of the Dorff class and its closed-form gammas.
+def extremal(target, order: int) -> tuple[TruncatedSeries, LogCoeffVector]:
+    """Extremal function z * exp(integrated target map), so z f'/f is the
+    target map itself, and its closed-form gammas."""
+    vec = extremal_gammas(target, order)
+    return series_exp(hat_series(target, order - 1)).shift(1), vec
 
-    gamma_n is half the integrated Dorff-map coefficient, bounded by
-    1/(2n) for every stored index and by C/n**2, C = 1/(2 sin delta),
-    beyond the truncation order.
-    """
-    if order < 2:
-        raise ValueError("order must be at least 2")
-    n = np.arange(1, order + 1)
-    gammas = b_tilde_coeff(d, n) / 2.0
-    f = series_exp(b_tilde_series(d, order - 1)).shift(1)
-    return f, LogCoeffVector(gammas, tail_constant=0.5 / np.sin(d.delta))
+
+def extremal_strip(p: StripParams, order: int) -> tuple[TruncatedSeries, LogCoeffVector]:
+    """Extremal function of the strip class: :func:`extremal`."""
+    return extremal(p, order)
+
+
+def extremal_dorff(d: DorffParam, order: int) -> tuple[TruncatedSeries, LogCoeffVector]:
+    """Extremal function of the Dorff class: :func:`extremal`."""
+    return extremal(d, order)
 
 
 def koebe_rotation(
@@ -251,20 +240,6 @@ def _log_one_minus(lam: complex, w: SchwarzSpec, order: int) -> np.ndarray:
     return out
 
 
-def _target_factors(target) -> tuple[complex, complex, complex]:
-    """(kappa, lam1, lam2): the target map minus its center equals
-    kappa * [log(1 - lam1 w) - log(1 - lam2 w)]."""
-    if isinstance(target, StripParams):
-        kappa = (target.width / np.pi) * 1j
-        lam1 = np.exp(2j * np.pi * target.mu)
-        return kappa, lam1, 1.0 + 0.0j
-    if isinstance(target, DorffParam):
-        kappa = 1.0 / (2j * np.sin(target.delta))
-        phase = np.exp(1j * target.delta)
-        return kappa, -phase, -np.conj(phase)
-    raise TypeError("target must be StripParams or DorffParam")
-
-
 def generate_member(target, w: SchwarzSpec, order: int) -> TruncatedSeries:
     """The unique normalized f with z f'/f subordinated through omega.
 
@@ -275,7 +250,7 @@ def generate_member(target, w: SchwarzSpec, order: int) -> TruncatedSeries:
     """
     if order < 2:
         raise ValueError("order must be at least 2")
-    kappa, lam1, lam2 = _target_factors(target)
+    kappa, lam1, lam2 = target.factors()
     q_minus_1 = kappa * (
         _log_one_minus(lam1, w, order - 1) - _log_one_minus(lam2, w, order - 1)
     )

@@ -8,6 +8,9 @@ in pointwise-evaluation and closed-form-coefficient form, plus the
 integrated variant obtained by applying Int_0^z (.)/t dt, which majorizes
 log(f(z)/z) over the corresponding function class.
 
+Both parameter classes carry what the family-blind code needs: strip
+edges, map factors, integrated-map coefficients and the coefficient bounds.
+
 All ratio logarithms are computed as differences of principal logarithms
 of factors with positive real part on the disc, so no branch tracking is
 ever needed.
@@ -16,10 +19,13 @@ ever needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import spence
 
+from .polylog import li4_symmetric_circle
 from .series import TruncatedSeries
 
 __all__ = [
@@ -31,6 +37,7 @@ __all__ = [
     "p_hat_eval",
     "p_strip_series",
     "p_hat_series",
+    "hat_series",
     "dorff_eval",
     "a_dorff_coeff",
     "b_tilde_coeff",
@@ -48,11 +55,15 @@ _DELTA_EVAL_MARGIN = 1e-6
 class StripParams:
     """Strip edges alpha < 1 < beta; mu is the cached phase fraction."""
 
+    family: ClassVar[str] = "strip"
     alpha: float
     beta: float
     mu: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        # the width too: finite edges can still overflow it
+        if not np.all(np.isfinite((self.alpha, self.beta, self.width))):
+            raise ValueError("strip parameters must be finite")
         if not self.alpha < 1.0 < self.beta:
             raise ValueError("strip parameters require alpha < 1 < beta")
         object.__setattr__(
@@ -63,11 +74,53 @@ class StripParams:
     def width(self) -> float:
         return self.beta - self.alpha
 
+    @property
+    def lower(self) -> float:
+        return self.alpha
+
+    @property
+    def upper(self) -> float:
+        return self.beta
+
+    @property
+    def tail_constant(self) -> float:
+        """C with |gamma_n| <= C/n**2 for the extremal gammas."""
+        return self.width / np.pi
+
+    def factors(self) -> tuple[complex, complex, complex]:
+        """(kappa, lam1, lam2): the map minus its center equals
+        kappa * [log(1 - lam1 w) - log(1 - lam2 w)]."""
+        return (self.width / np.pi) * 1j, np.exp(2j * np.pi * self.mu), 1.0 + 0.0j
+
+    def hat_coeff(self, n):
+        """Coefficient n of the integrated strip map: b_strip_coeff / n."""
+        return _over_n(b_strip_coeff, self, n)
+
+    def per_n_bound(self, n):
+        """|gamma_n| <= (width/(n pi)) |sin(pi mu)|, i.e. |B_1|/(2n)."""
+        return (self.width / (_check_index(n) * np.pi)) * abs(np.sin(np.pi * self.mu))
+
+    def sum_bound(self) -> float:
+        """Sharp upper bound for sum |gamma_n|^2 over the strip class.
+
+        (width^2 / 4 pi^2) * (pi^4/45 - [Li_4 at the conjugate pair of
+        circle points with angle 2 pi mu]); strictly positive for every
+        admissible parameter pair.
+        """
+        theta = 2.0 * np.pi * self.mu
+        return (self.width**2 / (4.0 * np.pi**2)) * (
+            np.pi**4 / 45.0 - li4_symmetric_circle(theta)
+        )
+
+    def describe(self) -> dict:
+        return {"alpha": self.alpha, "beta": self.beta}
+
 
 @dataclass(frozen=True)
 class DorffParam:
-    """Angle delta in [pi/2, pi) steering the Dorff strip."""
+    """Angle delta in [pi/2, pi) steering the Dorff strip; NaN and inf fail."""
 
+    family: ClassVar[str] = "dorff"
     delta: float
 
     def __post_init__(self) -> None:
@@ -82,6 +135,33 @@ class DorffParam:
     @property
     def upper(self) -> float:
         return 1.0 + self.delta / (2.0 * np.sin(self.delta))
+
+    @property
+    def tail_constant(self) -> float:
+        return 0.5 / np.sin(self.delta)
+
+    def factors(self) -> tuple[complex, complex, complex]:
+        phase = np.exp(1j * self.delta)
+        return 1.0 / (2j * np.sin(self.delta)), -phase, -np.conj(phase)
+
+    def hat_coeff(self, n):
+        """Coefficient n of the integrated Dorff map: a_dorff_coeff / n."""
+        return _over_n(a_dorff_coeff, self, n)
+
+    @staticmethod
+    def per_n_bound(n):
+        """|gamma_n| <= 1/(2n), the same for every delta."""
+        return 0.5 / _check_index(n)
+
+    def sum_bound(self) -> float:
+        """Sharp upper bound for sum |gamma_n|^2 over the Dorff class."""
+        theta = np.mod(2.0 * self.delta, 2.0 * np.pi)
+        return (np.pi**4 / 45.0 - li4_symmetric_circle(theta)) / (
+            16.0 * np.sin(self.delta) ** 2
+        )
+
+    def describe(self) -> dict:
+        return {"delta": self.delta}
 
 
 def _check_index(n) -> np.ndarray:
@@ -120,13 +200,16 @@ def b_strip_coeff(p: StripParams, n):
     return complex(val) if val.ndim == 0 else val
 
 
-def p_hat_coeff(p: StripParams, n):
-    """Coefficient n of the integrated strip map: b_strip_coeff / n."""
+def _over_n(coeff, target, n):
+    """coeff(target, n) / n: the coefficient of the integrated map."""
     n = _check_index(n)
-    if n.ndim == 0:
-        k = int(n)
-        return b_strip_coeff(p, k) / k
-    return b_strip_coeff(p, n) / n
+    k = int(n) if n.ndim == 0 else n
+    return coeff(target, k) / k
+
+
+def p_hat_coeff(p: StripParams, n):
+    """Coefficient n of the integrated strip map: ``p.hat_coeff(n)``."""
+    return p.hat_coeff(n)
 
 
 def _li2(z):
@@ -142,21 +225,26 @@ def p_hat_eval(p: StripParams, z):
     return complex(val) if val.ndim == 0 else val
 
 
+def _series(c0: complex, coeff, order: int) -> TruncatedSeries:
+    """c0 + sum_{n=1..order} coeff(n) z**n."""
+    c = np.full(order + 1, c0, dtype=complex)
+    c[1:] = coeff(np.arange(1, order + 1))
+    return TruncatedSeries(c)
+
+
 def p_strip_series(p: StripParams, order: int) -> TruncatedSeries:
     """Truncated Taylor series of the strip map (constant term 1)."""
-    c = np.empty(order + 1, dtype=complex)
-    c[0] = 1.0
-    if order >= 1:
-        c[1:] = b_strip_coeff(p, np.arange(1, order + 1))
-    return TruncatedSeries(c)
+    return _series(1.0, partial(b_strip_coeff, p), order)
+
+
+def hat_series(target, order: int) -> TruncatedSeries:
+    """Truncated Taylor series of the integrated target map (vanishes at 0)."""
+    return _series(0.0, target.hat_coeff, order)
 
 
 def p_hat_series(p: StripParams, order: int) -> TruncatedSeries:
-    """Truncated Taylor series of the integrated strip map (vanishes at 0)."""
-    c = np.zeros(order + 1, dtype=complex)
-    if order >= 1:
-        c[1:] = p_hat_coeff(p, np.arange(1, order + 1))
-    return TruncatedSeries(c)
+    """Truncated Taylor series of the integrated strip map: :func:`hat_series`."""
+    return hat_series(p, order)
 
 
 def dorff_eval(d: DorffParam, z):
@@ -187,12 +275,8 @@ def a_dorff_coeff(d: DorffParam, n):
 
 
 def b_tilde_coeff(d: DorffParam, n):
-    """Coefficient n of the integrated Dorff map: a_dorff_coeff / n."""
-    n = _check_index(n)
-    if n.ndim == 0:
-        k = int(n)
-        return a_dorff_coeff(d, k) / k
-    return a_dorff_coeff(d, n) / n
+    """Coefficient n of the integrated Dorff map: ``d.hat_coeff(n)``."""
+    return d.hat_coeff(n)
 
 
 def b_tilde_eval(d: DorffParam, z):
@@ -207,15 +291,9 @@ def b_tilde_eval(d: DorffParam, z):
 
 def dorff_series(d: DorffParam, order: int) -> TruncatedSeries:
     """Truncated Taylor series of the Dorff map (vanishes at 0)."""
-    c = np.zeros(order + 1, dtype=complex)
-    if order >= 1:
-        c[1:] = a_dorff_coeff(d, np.arange(1, order + 1))
-    return TruncatedSeries(c)
+    return _series(0.0, partial(a_dorff_coeff, d), order)
 
 
 def b_tilde_series(d: DorffParam, order: int) -> TruncatedSeries:
-    """Truncated Taylor series of the integrated Dorff map."""
-    c = np.zeros(order + 1, dtype=complex)
-    if order >= 1:
-        c[1:] = b_tilde_coeff(d, np.arange(1, order + 1))
-    return TruncatedSeries(c)
+    """Truncated Taylor series of the integrated Dorff map: :func:`hat_series`."""
+    return hat_series(d, order)

@@ -65,6 +65,14 @@ class TestCoeffsCommand:
         # 17 significant digits: parse-back equals the binary value
         assert float(rows[1]["rhs"]) == 0.25
 
+    def test_builds_no_extremal_series(self, monkeypatch, capsys):
+        def no_series(_):
+            raise AssertionError("coeffs needs only the closed-form gammas")
+
+        monkeypatch.setattr("stripcoef.logcoef.series_exp", no_series)
+        assert main(["coeffs", "--alpha", "0.5", "--beta", "1.5", "--order", "16"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["reports"]) == 16
+
 
 class TestVerifySharpnessCommand:
     def test_dorff_point(self):
@@ -187,6 +195,16 @@ class TestConfigErrors:
         proc = run_cli("check-membership", "--delta", "2.0", "--radius", "1.5")
         assert proc.returncode == 2
 
+    def test_non_finite_inputs_rejected(self, capsys):
+        for argv in (
+            ["coeffs", "--alpha", "0.5", "--beta", "1.5", "--order", "16", "--tolerance", "nan"],
+            ["bounds", "--alpha", "0.5", "--beta", "inf"],
+        ):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert json.loads(err)["kind"] == "config"
+
     def test_unknown_command_usage_error(self):
         proc = run_cli("frobnicate")
         assert proc.returncode == 2
@@ -198,6 +216,13 @@ class TestExitCodeContract:
         bad = BoundReport(2.0, 1.0, 0.0, VIOLATED, {})
         assert _exit_code([ok]) == 0
         assert _exit_code([ok, bad]) == 1
+
+    def test_internal_error_has_its_own_code(self, capsys):
+        # the bound formula overflows for this strip width
+        assert main(["verify-sharpness", "--alpha=-1e300", "--beta", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["kind"] == "internal"
 
     def test_main_callable_in_process(self, capsys):
         code = main(["bounds", "--alpha", "0.5", "--beta", "1.5"])

@@ -37,6 +37,14 @@ class TestParams:
         with pytest.raises(ValueError):
             StripParams(0.5, 0.9)
 
+    def test_reject_non_finite(self):
+        for alpha, beta in ((0.5, np.inf), (np.nan, 2.0), (-1e308, 1e308)):
+            with pytest.raises(ValueError):
+                StripParams(alpha, beta)
+        for delta in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                DorffParam(delta)
+
     def test_mu_in_unit_interval(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

@@ -23,6 +23,7 @@ from stripcoef.maps import (
 from stripcoef.polylog import li4_symmetric_circle
 from stripcoef.series import TruncatedSeries
 from stripcoef.verify import (
+    _report,
     EQUALITY,
     HOLDS,
     VIOLATED,
@@ -260,6 +261,14 @@ class TestReferenceConstants:
         assert consts["roth"] < 4.0 * consts["pi2_over_6"]
 
 
+class TestReport:
+    def test_non_finite_sides_are_violated(self):
+        for lhs, rhs in ((np.nan, 0.0), (0.0, np.nan), (np.inf, 1.0)):
+            report = _report(lhs, rhs, 0.0, {})
+            assert report.verdict == VIOLATED
+            assert "non-finite" in report.context["reason"]
+
+
 class TestSharpness:
     def test_strip_random_draws(self):
         rng = np.random.default_rng(101)
@@ -272,6 +281,14 @@ class TestSharpness:
         for _ in range(5):
             report = sharpness_dorff(random_dorff_param(rng), order=2048)
             assert report.verdict == EQUALITY
+
+    def test_builds_no_extremal_series(self, monkeypatch):
+        def no_series(_):
+            raise AssertionError("sharpness needs only the closed-form gammas")
+
+        monkeypatch.setattr("stripcoef.logcoef.series_exp", no_series)
+        assert sharpness_strip(HALF, 2048).verdict == EQUALITY
+        assert sharpness_dorff(RIGHT, 2048).verdict == EQUALITY
 
 
 class TestAuditMember:
