@@ -7,7 +7,8 @@ is provided for table ingestion (one report per row, header mandatory,
 
 Exit status: 0 on success, 1 when any report verdicts as violated (or a
 sharpness run misses equality), 2 on configuration errors, 3 on internal
-errors (any other exception).  Errors are written to stderr as
+errors (any other exception, or a non-finite number in a JSON report,
+which is never printed).  Errors are written to stderr as
 structured JSON records.
 """
 
@@ -129,7 +130,13 @@ def _emit(config: RunConfig, reports: list[BoundReport]) -> str:
         "version": __version__,
     }
     if config.output_format == "json":
-        return json.dumps(payload, indent=2, sort_keys=True, default=_json_safe) + "\n"
+        try:
+            text = json.dumps(
+                payload, indent=2, sort_keys=True, default=_json_safe, allow_nan=False
+            )
+        except ValueError as exc:  # a non-finite report value is a fault, not bad input
+            raise RuntimeError(f"report is not strict JSON: {exc}") from None
+        return text + "\n"
     # CSV: fixed report columns plus the union of context keys
     keys = sorted({k for r in reports for k in r.context})
     buf = io.StringIO()

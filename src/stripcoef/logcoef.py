@@ -11,6 +11,7 @@ never sampled).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,10 @@ class SchwarzSpec:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("c", "a", "phi"):
+            value = complex(getattr(self, name))
+            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+                raise ValueError(f"Schwarz parameter {name} must be finite")
         if self.kind in (SCALED_ROTATION, POWER):
             if abs(self.c) > 1.0 + 1e-12:
                 raise ValueError("scaling factor must satisfy |c| <= 1")
@@ -228,7 +233,7 @@ def _log_one_minus(lam: complex, w: SchwarzSpec, order: int) -> np.ndarray:
         factor = lam * w.c
         if factor != 0.0:
             m = np.arange(1, order // step + 1)
-            out[step * m] = -np.power(factor, m) / m
+            out[step * m] = -_powers(factor, m) / m
         return out
     rot = np.exp(1j * w.phi)
     abar = np.conj(w.a)
@@ -236,7 +241,22 @@ def _log_one_minus(lam: complex, w: SchwarzSpec, order: int) -> np.ndarray:
     b = abar - lam * rot * w.a
     c2 = -lam * rot
     r1, r2 = np.roots([1.0, b, c2])
-    out[1:] = (np.power(-abar, n) - np.power(r1, n) - np.power(r2, n)) / n
+    out[1:] = (_powers(-abar, n) - _powers(r1, n) - _powers(r2, n)) / n
+    return out
+
+
+def _powers(r: complex, n: np.ndarray) -> np.ndarray:
+    """r**n for n = 1, 2, ..., len(n), equal to np.power(r, n).
+
+    From n = 100 on np.power computes cpow(r, n) = exp(n log r) one
+    element at a time; the vectorised exp(n log r) is the same formula
+    at a fraction of the cost.  Below 100 numpy squares repeatedly, whose
+    error, unlike that of exp(n log r), does not grow with n.
+    """
+    if r == 0:
+        return np.zeros(len(n), dtype=complex)
+    out = np.exp(n * np.log(complex(r)))
+    out[:99] = np.power(r, n[:99])
     return out
 
 

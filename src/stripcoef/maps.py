@@ -23,7 +23,6 @@ from functools import partial
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import spence
 
 from .polylog import li4_symmetric_circle
 from .series import TruncatedSeries
@@ -213,7 +212,10 @@ def p_hat_coeff(p: StripParams, n):
 
 
 def _li2(z):
-    # principal dilogarithm; spence(w) = Li_2(1 - w)
+    # principal dilogarithm; spence(w) = Li_2(1 - w).  Imported here so
+    # that only the pointwise maps pay scipy's import time.
+    from scipy.special import spence
+
     return spence(1.0 - np.asarray(z, dtype=complex))
 
 

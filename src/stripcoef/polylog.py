@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "PolylogResult",
@@ -121,6 +120,8 @@ def li4_quadrature(z: complex, tol: float = 1e-10) -> complex:
     requires |z| <= 1 and z != 1 (the path then never meets the branch
     cut of the logarithm).
     """
+    from scipy.integrate import quad  # the oracle alone needs scipy
+
     z = complex(z)
     if abs(z) > 1.0 + _ABS_TOL:
         raise ValueError("li4_quadrature argument must satisfy |z| <= 1")

@@ -3,8 +3,9 @@
 A :class:`TruncatedSeries` holds the Taylor coefficients ``c0..cN`` of an
 analytic function on the unit disc, truncated at a declared order ``N``
 (coefficient of ``z**k`` at index ``k``).  All operations are formal: the
-exponential and logarithm are computed by coefficient recurrences, never
-pointwise, so no branch of ``log`` is ever chosen inside the engine.
+exponential and logarithm are computed by coefficient recurrences (the
+exponential by Newton iteration at high order), never pointwise, so no
+branch of ``log`` is ever chosen inside the engine.
 
 Binary operations truncate to the smaller order of the two operands;
 coefficients beyond the common order are unknown, not zero.
@@ -27,6 +28,13 @@ __all__ = [
 # Tolerance for the "normalized" tag (c0 = 0, c1 = 1); arithmetic on
 # normalized series keeps these exact, the slack only absorbs roundoff.
 _NORMALIZED_TOL = 1e-12
+
+# series_exp switches from the recurrence to Newton iteration at this
+# order: the two paths take equal time near order 300 (README, "Formal
+# exp engine")
+_EXP_NEWTON_MIN = 320
+# Newton starts from the recurrence at no more terms than this
+_EXP_NEWTON_BASE = 64
 
 
 class TruncatedSeries:
@@ -166,13 +174,23 @@ class TruncatedSeries:
 def series_exp(a: TruncatedSeries) -> TruncatedSeries:
     """Formal exponential of a series with a_0 = 0.
 
-    Uses the recurrence from E' = a'E, i.e. k*E_k = sum_{j=1..k} j*a_j*E_{k-j}
-    with E_0 = 1.  Restricting to a_0 = 0 keeps the result branch-free.
+    Orders below ``_EXP_NEWTON_MIN`` use the recurrence from E' = a'E,
+    i.e. k*E_k = sum_{j=1..k} j*a_j*E_{k-j} with E_0 = 1, in O(N^2); from
+    there on Newton iteration with FFT products gives the same series in
+    O(N log N).  Restricting to a_0 = 0 keeps the result branch-free.
     """
     if abs(a.coeffs[0]) > _NORMALIZED_TOL:
         raise ValueError("series_exp requires a vanishing constant term")
-    n = a.order
-    da = np.arange(n + 1) * a.coeffs  # j * a_j
+    if a.order >= _EXP_NEWTON_MIN:
+        return TruncatedSeries(_exp_newton(a.coeffs))
+    return TruncatedSeries(_exp_recurrence(a.coeffs))
+
+
+def _exp_recurrence(a: np.ndarray) -> np.ndarray:
+    """exp of a coefficient array with a_0 = 0 by the O(N^2) recurrence:
+    the path below the crossover, Newton's start, and its test reference."""
+    n = len(a) - 1
+    da = np.arange(n + 1) * a  # j * a_j
     out = np.zeros(n + 1, dtype=complex)
     out[0] = 1.0
     # rev[n - i] mirrors out[i]; keeps every dot product contiguous
@@ -182,7 +200,53 @@ def series_exp(a: TruncatedSeries) -> TruncatedSeries:
         val = np.dot(da[1 : k + 1], rev[n - k + 1 : n + 1]) / k
         out[k] = val
         rev[n - k] = val
-    return TruncatedSeries(out)
+    return out
+
+
+def _fft_len(n: int) -> int:
+    """Smallest 2^i * p >= n over the odd 5-smooth p dividing 675: a
+    length numpy's FFT handles fast, at most 12 % above n."""
+    odd = (1, 3, 5, 9, 15, 25, 27, 45, 75, 135, 225, 675)
+    return min(p << max(0, (-(-n // p) - 1).bit_length()) for p in odd)
+
+
+def _exp_newton(a: np.ndarray) -> np.ndarray:
+    """exp of a coefficient array with a_0 = 0 by Newton iteration.
+
+    Precision doubles on the schedule ceil(n / 2^k) from a recurrence
+    start of at most ``_EXP_NEWTON_BASE`` terms.  A step from m to M
+    terms keeps g = 1/f, lifted from the last step's precision to m by
+    g += g (1 - f g), computes log f through z (log f)' = z f'/f, and sets
+    f += f (a - log f) (Brent & Kung 1978; Bernstein 2004).  Every product
+    is an FFT convolution long enough that wrap-around lands only on
+    coefficients already known; the transforms of f and g serve two
+    products each.
+    """
+    fft, ifft = np.fft.fft, np.fft.ifft
+    k = np.arange(len(a))
+    ta = k * a  # z a'
+    sizes = []
+    n = len(a)
+    while n > _EXP_NEWTON_BASE:
+        sizes.append(n)
+        n = (n + 1) // 2
+    f = _exp_recurrence(a[:n])
+    g = _exp_recurrence(-a[:n])
+    big_g = None  # FFT of g as it stood in the previous step's log part
+    for big in reversed(sizes):
+        m, h = len(f), len(g)
+        if h < m:
+            size = len(big_g)
+            fg = ifft(fft(f, size) * big_g)[h:m]  # 1 - f g, negated, from z^h on
+            g = np.concatenate([g, -ifft(big_g * fft(fg, size))[: m - h]])
+        size = _fft_len(big)
+        big_f, big_g = fft(f, size), fft(g, size)
+        # z f' - f*ta vanishes below z^m and f has no terms from z^m on,
+        # so its part m..big-1 is -(f*ta) there
+        f_ta = ifft(big_f * fft(ta[:big], size))[m:big]
+        a_minus_log = ifft(big_g * fft(f_ta, size))[: big - m] / k[m:big]
+        f = np.concatenate([f, ifft(big_f * fft(a_minus_log, size))[: big - m]])
+    return f
 
 
 def _log_one(p: np.ndarray) -> np.ndarray:

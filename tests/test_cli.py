@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from stripcoef import cli
 from stripcoef.cli import main
 from stripcoef.verify import BoundReport, VIOLATED
 from stripcoef.cli import _exit_code
@@ -199,6 +200,8 @@ class TestConfigErrors:
         for argv in (
             ["coeffs", "--alpha", "0.5", "--beta", "1.5", "--order", "16", "--tolerance", "nan"],
             ["bounds", "--alpha", "0.5", "--beta", "inf"],
+            ["generate", "--delta", "2.0", "--schwarz", "scaled-rotation", "--c-re", "nan",
+             "--order", "8"],
         ):
             assert main(argv) == 2
             out, err = capsys.readouterr()
@@ -224,8 +227,31 @@ class TestExitCodeContract:
         assert out == ""
         assert json.loads(err)["kind"] == "internal"
 
+    def test_non_finite_report_is_internal_error(self, monkeypatch, capsys):
+        nan_report = BoundReport(float("nan"), 1.0, 0.0, "holds", {})
+        monkeypatch.setitem(cli._DISPATCH, "bounds", lambda config: ([nan_report], 0))
+        assert main(["bounds", "--alpha", "0.5", "--beta", "1.5"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["kind"] == "internal"
+
     def test_main_callable_in_process(self, capsys):
         code = main(["bounds", "--alpha", "0.5", "--beta", "1.5"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["command"] == "bounds"
+
+
+class TestLazyScipy:
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import stripcoef",
+            "from stripcoef.cli import main; "
+            "main(['bounds', '--alpha', '0.5', '--beta', '1.5'])",
+        ],
+    )
+    def test_scipy_not_imported(self, code):
+        check = "; import sys; assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']"
+        proc = subprocess.run([sys.executable, "-c", code + check], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

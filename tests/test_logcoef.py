@@ -4,6 +4,7 @@ import pytest
 from stripcoef.logcoef import (
     LogCoeffVector,
     SchwarzSpec,
+    _log_one_minus,
     extremal_dorff,
     extremal_strip,
     generate_member,
@@ -183,6 +184,54 @@ class TestSchwarzSpec:
             SchwarzSpec.blaschke(1.0)
         with pytest.raises(ValueError):
             SchwarzSpec("unknown-kind")
+
+    def test_non_finite_parameters_rejected(self):
+        nan, inf = float("nan"), float("inf")
+        for make in (
+            lambda: SchwarzSpec.scaled_rotation(nan),
+            lambda: SchwarzSpec.power(complex(0.1, inf), 2),
+            lambda: SchwarzSpec.blaschke(complex(nan, 0.1)),
+            lambda: SchwarzSpec.blaschke(0.3, nan),
+            lambda: SchwarzSpec.blaschke(0.3, -inf),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                make()
+
+
+def _log_one_minus_by_power(lam, w, order):
+    """The factor logs with np.power throughout (reference form)."""
+    out = np.zeros(order + 1, dtype=complex)
+    n = np.arange(1, order + 1)
+    if w.kind != "blaschke-factor":
+        step = w.k if w.kind == "power" else 1
+        m = np.arange(1, order // step + 1)
+        out[step * m] = -np.power(lam * w.c, m) / m
+        return out
+    rot = np.exp(1j * w.phi)
+    abar = np.conj(w.a)
+    r1, r2 = np.roots([1.0, abar - lam * rot * w.a, -lam * rot])
+    out[1:] = (np.power(-abar, n) - np.power(r1, n) - np.power(r2, n)) / n
+    return out
+
+
+class TestLogOneMinus:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SchwarzSpec.scaled_rotation(np.exp(0.3j)),  # |r| = 1
+            SchwarzSpec.power(0.6 - 0.5j, 3),  # |r| < 1
+            SchwarzSpec.blaschke(0.0, 1.1),  # a = 0: one exact zero power
+            SchwarzSpec.blaschke(0.7 * np.exp(2j), 0.5),
+        ],
+    )
+    def test_matches_power_form(self, spec):
+        for target in (StripParams(-1.9, 3.8), DorffParam(3.0)):
+            _, lam1, lam2 = target.factors()
+            for lam in (lam1, lam2):
+                got = _log_one_minus(lam, spec, 14000)
+                ref = _log_one_minus_by_power(lam, spec, 14000)
+                assert np.all(np.isfinite(got))
+                assert np.max(np.abs(got - ref)) <= 1e-14
 
 
 class TestGenerateMember:

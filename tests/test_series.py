@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from stripcoef.logcoef import SchwarzSpec, generate_member
+from stripcoef.logcoef import SchwarzSpec, _log_one_minus, generate_member
 from stripcoef.maps import DorffParam, StripParams
 from stripcoef.series import (
+    _EXP_NEWTON_MIN,
     TruncatedSeries,
+    _exp_newton,
+    _exp_recurrence,
     coeffs_by_circle_sampling,
     compose_schwarz,
     log_normalized,
@@ -147,6 +150,73 @@ class TestExpLog:
             f = _random_normalized(rng, 64)
             back = series_exp(log_normalized(f))
             assert np.max(np.abs(back.coeffs - f.coeffs[1:])) < 1e-10
+
+
+# strip and Dorff targets with large map coefficients, each under all
+# three Schwarz families
+_TARGETS = (StripParams(-1.9, 3.8), DorffParam(3.0))
+_SPECS = (
+    SchwarzSpec.scaled_rotation(0.95 * np.exp(1j)),
+    SchwarzSpec.power(1.0, 3),
+    SchwarzSpec.blaschke(0.7 * np.exp(2j), 0.5),
+)
+
+
+def _exponents(order):
+    """The series generate_member exponentiates, z f'/f = q, at `order`."""
+    out = []
+    for target in _TARGETS:
+        kappa, lam1, lam2 = target.factors()
+        for spec in _SPECS:
+            q_minus_1 = kappa * (
+                _log_one_minus(lam1, spec, order) - _log_one_minus(lam2, spec, order)
+            )
+            out.append(TruncatedSeries(q_minus_1))
+    return out
+
+
+class TestExpNewton:
+    @pytest.mark.parametrize(
+        "order", [_EXP_NEWTON_MIN - 1, _EXP_NEWTON_MIN, _EXP_NEWTON_MIN + 1, 4096, 14019]
+    )
+    def test_matches_recurrence(self, order):
+        for q_minus_1 in _exponents(order):
+            a = q_minus_1.integrate_over_t().coeffs
+            ref = _exp_recurrence(a)
+            got = _exp_newton(a)
+            assert len(got) == len(ref)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+    def test_dispatch_at_crossover(self):
+        paths = ((_EXP_NEWTON_MIN - 1, _exp_recurrence), (_EXP_NEWTON_MIN, _exp_newton))
+        for order, path in paths:
+            a = _exponents(order)[0].integrate_over_t()
+            assert np.array_equal(series_exp(a).coeffs, path(a.coeffs))
+
+    def test_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        order = 512
+        for q_minus_1 in (_exponents(order)[i] for i in (0, 5)):
+            a = q_minus_1.integrate_over_t().coeffs
+            with mpmath.workdps(30):
+                da = [k * mpmath.mpc(c.real, c.imag) for k, c in enumerate(a)]
+                exact = [mpmath.mpc(1)]
+                for k in range(1, order + 1):
+                    exact.append(mpmath.fsum(da[j] * exact[k - j] for j in range(1, k + 1)) / k)
+                exact = np.array([complex(c) for c in exact])
+            got = _exp_newton(a)
+            assert np.max(np.abs(got - exact)) <= 1e-13 * max(1.0, np.max(np.abs(exact)))
+
+    def test_residual_of_generated_members(self):
+        # E = exp(a) must satisfy z E' = (z a') E, i.e. (z f')_k = (q f)_k
+        # for f = z E; one FFT product measures the engine's residual
+        order = 14019
+        for q_minus_1 in _exponents(order):
+            e = series_exp(q_minus_1.integrate_over_t()).coeffs
+            k = np.arange(order + 1)
+            size = 2 * (order + 1)
+            product = np.fft.ifft(np.fft.fft(q_minus_1.coeffs, size) * np.fft.fft(e, size))
+            assert np.max(np.abs(k * e - product[: order + 1])) <= 1e-12
 
 
 class TestComposition:
