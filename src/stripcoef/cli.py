@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -46,6 +47,15 @@ _COMMANDS = (
     "generate",
     "polylog",
 )
+
+
+# Size limits, checked before anything is allocated.  The grid floor is the
+# order floor membership audits already have: fewer angles check almost
+# nothing of the circle.
+_MAX_ORDER = 2**18
+_MIN_GRID_ANGLES = 64
+_MAX_GRID_ANGLES = 2**20
+_MAX_SAMPLES = 10_000
 
 
 class ConfigError(Exception):
@@ -83,18 +93,23 @@ class RunConfig:
     def validate(self) -> None:
         if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        if self.order < 8:
-            raise ConfigError("order must be >= 8")
+        # every float option, whether or not the command uses it: all are
+        # echoed in the report's config, which must stay strict JSON
+        for name, value in asdict(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name.replace('_', '-')} must be finite")
+        if not 8 <= self.order <= _MAX_ORDER:
+            raise ConfigError(f"order must lie in [8, {_MAX_ORDER}]")
         if not 0.0 < self.radius < 1.0:
             raise ConfigError("radius must lie in (0, 1)")
-        if not np.isfinite(self.tolerance):
-            raise ConfigError("tolerance must be finite")
         if self.tolerance <= 0.0:
             raise ConfigError("tolerance must be positive")
-        if self.grid_angles < 1:
-            raise ConfigError("grid-angles must be >= 1")
-        if self.samples < 1:
-            raise ConfigError("samples must be >= 1")
+        if not _MIN_GRID_ANGLES <= self.grid_angles <= _MAX_GRID_ANGLES:
+            raise ConfigError(
+                f"grid-angles must lie in [{_MIN_GRID_ANGLES}, {_MAX_GRID_ANGLES}]"
+            )
+        if not 1 <= self.samples <= _MAX_SAMPLES:
+            raise ConfigError(f"samples must lie in [1, {_MAX_SAMPLES}]")
 
     def target(self):
         """The class parameters; exactly one family must be selected."""
@@ -206,7 +221,7 @@ def _cmd_coeffs(config: RunConfig) -> tuple[list[BoundReport], int]:
 
 
 def _cmd_verify_sharpness(config: RunConfig) -> tuple[list[BoundReport], int]:
-    report = sharpness(config.target(), config.order)
+    report = sharpness(config.target(), config.order, config.tolerance)
     return [report], 0 if report.verdict == EQUALITY else 1
 
 

@@ -211,12 +211,44 @@ def p_hat_coeff(p: StripParams, n):
     return p.hat_coeff(n)
 
 
-def _li2(z):
-    # principal dilogarithm; spence(w) = Li_2(1 - w).  Imported here so
-    # that only the pointwise maps pay scipy's import time.
-    from scipy.special import spence
+# B_{2k} / (2k+1)! for k = 1..10 (B_2 = 1/6, B_4 = -1/30, ...): the
+# coefficients of Li_2(w) = u - u^2/4 + sum_k B_{2k} u^(2k+1) / (2k+1)!
+# with u = -log(1 - w).  On the half-disc Re w <= 1/2, |w| < 1 the bound
+# is |u| <= pi/3, and there the first omitted term (k = 11) is below 1e-18.
+_LI2_BERNOULLI = (
+    0.027777777777777776,
+    -0.0002777777777777778,
+    4.72411186696901e-06,
+    -9.185773074661964e-08,
+    1.8978869988971e-09,
+    -4.0647616451442256e-11,
+    8.921691020456452e-13,
+    -1.9939295860721074e-14,
+    4.518980029619918e-16,
+    -1.0356517612181247e-17,
+)
 
-    return spence(1.0 - np.asarray(z, dtype=complex))
+
+def _li2(z):
+    """Principal dilogarithm for |z| < 1 ('t Hooft & Veltman 1979).
+
+    The Bernoulli series in u = -log(1 - w) on Re w <= 1/2; the points
+    with Re z > 1/2 are reflected, Li_2(z) = pi^2/6 - log z log(1 - z)
+    - Li_2(1 - z), and w = 1 - z lies in that half-disc again.
+    """
+    z = np.asarray(z, dtype=complex)
+    v = np.atleast_1d(z)  # 1-d, so the masked assignment below also works for 0-d input
+    flip = v.real > 0.5
+    w = np.where(flip, 1.0 - v, v)
+    u = -np.log1p(-w)
+    t = u * u
+    acc = np.zeros_like(t)
+    for c in reversed(_LI2_BERNOULLI):
+        acc = acc * t + c
+    li = u - 0.25 * t + u * t * acc
+    # on the flipped points u = -log z; log w only there, so z = 0 never meets log 0
+    li[flip] = np.pi**2 / 6.0 + u[flip] * np.log(w[flip]) - li[flip]
+    return li.reshape(z.shape)
 
 
 def p_hat_eval(p: StripParams, z):

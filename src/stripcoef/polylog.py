@@ -43,29 +43,35 @@ class PolylogResult:
     tail_bound: float
 
 
-def _tail_bound(s: int, absz: float, m: int) -> float:
-    """Majorant of sum_{n>m} |z|^n / n^s for |z| <= 1 (+rounding slack)."""
-    integral = m ** (1 - s) / (s - 1)
-    if absz >= 1.0:
-        # |z| may exceed 1 by at most _ABS_TOL; inflate accordingly
-        return integral * absz ** (m + 1)
-    geometric = absz ** (m + 1) / ((m + 1) ** s * (1.0 - absz))
-    return min(integral, geometric)
+def _tail_bound(s: int, z: complex, m: int) -> float:
+    """Majorant of |sum_{n>m} z^n / n^s| for |z| <= 1 (+rounding slack).
 
-
-def _terms_needed(s: int, absz: float, tol: float) -> int:
-    m = max(int(math.ceil((1.0 / ((s - 1) * tol)) ** (1.0 / (s - 1)))), 8)
+    The smallest of three that apply: the integral test, the geometric
+    series (|z| < 1) and, for z != 1, summation by parts (Abel), which
+    bounds the tail by 2 |z|^(m+1) / (|1 - z| (m+1)^s) on the circle too.
+    """
+    absz = abs(z)
+    # |z| may exceed 1 by at most _ABS_TOL; inflate accordingly
+    bounds = [m ** (1 - s) / (s - 1) * max(absz, 1.0) ** (m + 1)]
     if absz < 1.0:
-        # smallest m with the geometric majorant below tol
-        lo, hi = 8, m
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _tail_bound(s, absz, mid) <= tol:
-                hi = mid
-            else:
-                lo = mid + 1
-        m = lo
-    return min(m, _MAX_TERMS)
+        bounds.append(absz ** (m + 1) / ((m + 1) ** s * (1.0 - absz)))
+    if z != 1.0:
+        bounds.append(2.0 * absz ** (m + 1) / (abs(1.0 - z) * (m + 1) ** s))
+    return min(bounds)
+
+
+def _terms_needed(s: int, z: complex, tol: float) -> int:
+    # the integral test alone reaches tol at m_int; bisect on the smallest
+    # majorant below that and the cap (the majorants fall with m)
+    m_int = int(math.ceil((1.0 / ((s - 1) * tol)) ** (1.0 / (s - 1))))
+    lo, hi = 8, max(min(m_int, _MAX_TERMS), 8)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _tail_bound(s, z, mid) <= tol:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def polylog(s: int, z: complex, tol: float = 1e-12) -> PolylogResult:
@@ -86,10 +92,10 @@ def polylog(s: int, z: complex, tol: float = 1e-12) -> PolylogResult:
         raise ValueError("polylog argument must satisfy |z| <= 1")
     if z == 0.0:
         return PolylogResult(0.0 + 0.0j, 0, 0.0)
-    m = _terms_needed(s, absz, tol)
+    m = _terms_needed(s, z, tol)
     n = np.arange(1, m + 1)
     value = complex(np.sum(np.power(z, n) / n.astype(float) ** s))
-    return PolylogResult(value, m, _tail_bound(s, absz, m))
+    return PolylogResult(value, m, _tail_bound(s, z, m))
 
 
 def li4_symmetric_circle(theta: float) -> float:

@@ -272,12 +272,14 @@ def sharpness(target, order: int = 4096, tolerance: float | None = None) -> Boun
     """Sharpness of the target's sum bound on its extremal function.
 
     Sums the closed-form |gamma_n|^2 to `order` and compares against
-    ``target.sum_bound()`` within the tail estimate; the verdict must be
-    holds-with-equality for every admissible parameter.
+    ``target.sum_bound()`` within max(tail estimate, `tolerance`), the
+    tolerance defaulting to 1e-9; the verdict must be holds-with-equality
+    for every admissible parameter.
     """
     partial, tail = sum_gamma_sq(extremal_gammas(target, order))
     context = {**target.describe(), "order": order}
-    return _report(partial, target.sum_bound(), tail, context, tolerance)
+    tol = max(tail, TOLERANCE_FLOOR if tolerance is None else tolerance)
+    return _report(partial, target.sum_bound(), tail, context, tol)
 
 
 def sharpness_strip(

@@ -91,6 +91,17 @@ class TestVerifySharpnessCommand:
         )
         assert proc.returncode == 0
 
+    def test_tolerance_is_honoured(self, capsys):
+        # a wide strip: the tail estimate (3.4e-9) is below the rounding of
+        # the bound's cancellation (about 3e-8), so the default 1e-9 misses
+        # equality and a larger tolerance absorbs it
+        argv = ["verify-sharpness", "--alpha=-1e4", "--beta", "2", "--order", "100000"]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["reports"][0]["verdict"] == "holds"
+        assert main([*argv, "--tolerance", "1e-6"]) == 0
+        report = json.loads(capsys.readouterr().out)["reports"][0]
+        assert report["verdict"] == "holds-with-equality"
+
 
 class TestCheckMembershipCommand:
     def test_small_sweep_passes(self):
@@ -153,7 +164,9 @@ class TestGenerateCommand:
 
 class TestPolylogCommand:
     def test_theta_mode_reports_all_three(self):
-        proc = run_cli("polylog", "--theta", repr(PI))
+        # the series is summed only to the requested tolerance: ask for the
+        # accuracy asserted below
+        proc = run_cli("polylog", "--theta", repr(PI), "--tolerance", "1e-12")
         assert proc.returncode == 0
         ctx = json.loads(proc.stdout)["reports"][0]["context"]
         assert abs(ctx["series_re"] - (-7.0 * PI**4 / 720.0)) < 1e-10
@@ -192,6 +205,32 @@ class TestConfigErrors:
         proc = run_cli("coeffs", "--delta", "2.0", "--order", "4")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--order", "7"],
+            ["--order", str(2**18 + 1)],
+            ["--grid-angles", "63"],
+            ["--grid-angles", str(2**20 + 1)],
+            ["--samples", "0"],
+            ["--samples", "10001"],
+        ],
+    )
+    def test_size_limits(self, option, monkeypatch, capsys):
+        # rejected by validation, before the command allocates anything
+        monkeypatch.setattr(cli, "_DISPATCH", {})
+        assert main(["check-membership", "--delta", "2.0", *option]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["kind"] == "config"
+
+    def test_grid_angles_floor(self, capsys):
+        # three circle points once passed as a membership audit
+        argv = ["check-membership", "--delta", "2.0", "--samples", "1", "--order", "1500"]
+        assert main([*argv, "--grid-angles", "3"]) == 2
+        assert main([*argv, "--grid-angles", "64"]) == 0
+        capsys.readouterr()
+
     def test_bad_radius_rejected(self):
         proc = run_cli("check-membership", "--delta", "2.0", "--radius", "1.5")
         assert proc.returncode == 2
@@ -202,6 +241,8 @@ class TestConfigErrors:
             ["bounds", "--alpha", "0.5", "--beta", "inf"],
             ["generate", "--delta", "2.0", "--schwarz", "scaled-rotation", "--c-re", "nan",
              "--order", "8"],
+            # options the command does not use are echoed in its report
+            ["polylog", "--theta", "1.0", "--delta", "nan"],
         ):
             assert main(argv) == 2
             out, err = capsys.readouterr()
@@ -249,6 +290,12 @@ class TestLazyScipy:
             "import stripcoef",
             "from stripcoef.cli import main; "
             "main(['bounds', '--alpha', '0.5', '--beta', '1.5'])",
+            # the pointwise dilogarithm maps and a convexity probe on them
+            "from stripcoef.maps import StripParams, DorffParam, p_hat_eval, b_tilde_eval; "
+            "from stripcoef.verify import convexity_probe; "
+            "p_hat_eval(StripParams(0.5, 1.5), [0.3, 0.7j]); "
+            "b_tilde_eval(DorffParam(2.0), 0.9); "
+            "convexity_probe(lambda z: b_tilde_eval(DorffParam(2.0), z), 0.5, 64, order=64)",
         ],
     )
     def test_scipy_not_imported(self, code):

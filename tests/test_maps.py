@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from stripcoef.maps import (
     DorffParam,
     StripParams,
+    _li2,
     a_dorff_coeff,
     b_strip_coeff,
     b_tilde_coeff,
@@ -212,3 +215,53 @@ class TestIntegratedDorffMap:
         for _ in range(10):
             z = 0.5 * np.sqrt(rng.uniform()) * np.exp(2j * PI * rng.uniform())
             assert abs(b_tilde_eval(d, z) - s.evaluate(z)) < 1e-12
+
+
+def _li2_points():
+    """Random disc points, the ring |z| = 0.999999, both sides of the
+    Re z = 1/2 reflection seam, and z at 0, tiny, near -1 and near 1."""
+    rng = np.random.default_rng(41)
+    disc = np.sqrt(rng.uniform(size=400)) * np.exp(2j * PI * rng.uniform(size=400))
+    ring = 0.999999 * np.exp(2j * PI * np.arange(256) / 256)
+    y = np.linspace(-0.86, 0.86, 41)
+    seam = np.concatenate([np.nextafter(0.5, s) + 1j * y for s in (0.0, 1.0)] + [0.5 + 1j * y])
+    special = np.array([0.0, 1e-300, 1e-20j, 1e-10 - 3e-11j, -0.999999, -1.0 + 1e-16, 0.999999])
+    return np.concatenate([disc, ring, seam, special])
+
+
+class TestDilogarithm:
+    def _check(self, ref):
+        z = _li2_points()
+        got = _li2(z)
+        expected = np.array([ref(x) for x in z])
+        assert np.all(np.abs(got - expected) <= 1e-14 * np.maximum(1.0, np.abs(expected)))
+
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            self._check(lambda x: complex(mpmath.polylog(2, mpmath.mpc(x.real, x.imag))))
+
+    def test_against_spence(self):
+        special = pytest.importorskip("scipy.special")
+        # spence(w) = Li_2(1 - w)
+        self._check(lambda x: complex(special.spence(1.0 - x)))
+
+    def test_closed_forms(self):
+        assert _li2(0.0) == 0.0
+        assert abs(_li2(0.5) - (PI**2 / 12.0 - np.log(2.0) ** 2 / 2.0)) < 1e-15
+        assert abs(_li2(-1.0 + 1e-16) - (-(PI**2) / 12.0)) < 1e-14
+
+    def test_zero_dim_matches_array_path(self):
+        z = _li2_points()
+        got = _li2(z)
+        for i in range(0, len(z), 17):
+            one = _li2(z[i])
+            assert one.shape == ()
+            assert one == got[i]
+
+    def test_no_warning_at_zero_or_on_seam(self):
+        # the point set holds z = 0 and the seam
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(_li2(_li2_points())))
+            assert _li2(0.0) == 0.0

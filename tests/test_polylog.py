@@ -62,6 +62,28 @@ class TestPolylogSeries:
         assert res.tail_bound > 1e-12
         assert abs(res.value - PI**2 / 6.0) <= res.tail_bound
 
+    def test_weight_two_at_minus_one_meets_tolerance(self):
+        # summation by parts: 2 / (|1 - z| (m+1)^2) <= 1e-9 at m = 31622,
+        # where the integral test alone would need 1e9 terms
+        res = polylog(2, -1.0, tol=1e-9)
+        assert res.terms_used == 31_622
+        assert res.tail_bound <= 1e-9
+        assert abs(res.value - (-(PI**2) / 12.0)) <= res.tail_bound
+
+    def test_weight_two_circle_point_meets_tolerance(self):
+        # Li_2(e^{it}) has real part pi^2/6 - t(2 pi - t)/4 for t in [0, 2 pi]
+        t = 1.0
+        res = polylog(2, np.exp(1j * t), tol=1e-9)
+        assert res.terms_used < 100_000
+        assert res.tail_bound <= 1e-9
+        exact_re = PI**2 / 6.0 - t * (2.0 * PI - t) / 4.0
+        assert abs(res.value.real - exact_re) <= res.tail_bound
+
+    def test_weight_four_at_minus_one_uses_fewer_terms(self):
+        res = polylog(4, -1.0, tol=1e-9)
+        assert res.terms_used == 177
+        assert abs(res.value - (-7.0 * PI**4 / 720.0)) <= res.tail_bound <= 1e-9
+
     def test_rejects_outside_disc(self):
         with pytest.raises(ValueError):
             polylog(4, 1.0 + 1e-6)
