@@ -14,8 +14,6 @@ from .logcoef import (
     LogCoeffVector,
     SchwarzSpec,
     extremal,
-    extremal_dorff,
-    extremal_strip,
     generate_member,
     koebe_rotation,
     log_coefficients,
@@ -28,10 +26,8 @@ from .maps import (
     StripParams,
     a_dorff_coeff,
     b_strip_coeff,
-    b_tilde_coeff,
     b_tilde_eval,
     dorff_eval,
-    p_hat_coeff,
     p_hat_eval,
     p_strip_eval,
 )
@@ -46,12 +42,9 @@ from .series import (
 from .verify import (
     BoundReport,
     audit_member,
-    bound_dorff,
-    bound_strip,
+    audit_min_order,
     convexity_probe,
     membership_check,
-    per_n_bound_dorff,
-    per_n_bound_strip,
     reference_constants,
     rogosinski_check,
     sharpness,
@@ -75,28 +68,20 @@ __all__ = [
     "DorffParam",
     "p_strip_eval",
     "b_strip_coeff",
-    "p_hat_coeff",
     "p_hat_eval",
     "dorff_eval",
     "a_dorff_coeff",
-    "b_tilde_coeff",
     "b_tilde_eval",
     "LogCoeffVector",
     "SchwarzSpec",
     "log_coefficients",
     "extremal",
-    "extremal_strip",
-    "extremal_dorff",
     "koebe_rotation",
     "generate_member",
     "random_strip_params",
     "random_dorff_param",
     "random_schwarz_spec",
     "BoundReport",
-    "bound_strip",
-    "bound_dorff",
-    "per_n_bound_strip",
-    "per_n_bound_dorff",
     "sum_gamma_sq",
     "rogosinski_check",
     "membership_check",
@@ -106,4 +91,5 @@ __all__ = [
     "sharpness_strip",
     "sharpness_dorff",
     "audit_member",
+    "audit_min_order",
 ]

@@ -32,7 +32,9 @@ from .verify import (
     EQUALITY,
     VIOLATED,
     BoundReport,
+    _report,
     audit_member,
+    audit_min_order,
     reference_constants,
     sharpness,
 )
@@ -127,16 +129,6 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
 
 
-def _json_safe(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    raise TypeError(f"not JSON-serializable: {type(value)}")
-
-
 def _emit(config: RunConfig, reports: list[BoundReport]) -> str:
     payload = {
         "command": config.command,
@@ -146,9 +138,7 @@ def _emit(config: RunConfig, reports: list[BoundReport]) -> str:
     }
     if config.output_format == "json":
         try:
-            text = json.dumps(
-                payload, indent=2, sort_keys=True, default=_json_safe, allow_nan=False
-            )
+            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
         except ValueError as exc:  # a non-finite report value is a fault, not bad input
             raise RuntimeError(f"report is not strict JSON: {exc}") from None
         return text + "\n"
@@ -215,8 +205,9 @@ def _cmd_coeffs(config: RunConfig) -> tuple[list[BoundReport], int]:
             "gamma_im": g.imag,
             "slack": rhs - lhs,
         }
-        verdict = VIOLATED if lhs - rhs > config.tolerance else "holds"
-        reports.append(BoundReport(lhs, rhs, 0.0, verdict, context))
+        reports.append(
+            _report(lhs, rhs, 0.0, context, config.tolerance, equality_applicable=False)
+        )
     return reports, _exit_code(reports)
 
 
@@ -227,11 +218,11 @@ def _cmd_verify_sharpness(config: RunConfig) -> tuple[list[BoundReport], int]:
 
 def _cmd_check_membership(config: RunConfig) -> tuple[list[BoundReport], int]:
     target = config.target()
-    min_order = int(np.ceil(14.0 / np.log(1.0 / config.radius)))
-    if config.order < max(64, min_order):
+    need = audit_min_order(config.radius)
+    if config.order < need:
         raise ConfigError(
             f"order {config.order} too small for radius {config.radius}: "
-            f"membership needs order >= {max(64, min_order)}"
+            f"membership needs order >= {need}"
         )
     rng = np.random.default_rng(config.seed)
     reports: list[BoundReport] = []
@@ -335,20 +326,20 @@ _DISPATCH = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # no defaults here: an option left out keeps its RunConfig default
+    unset = {"argument_default": argparse.SUPPRESS}
+    common = argparse.ArgumentParser(add_help=False, **unset)
     common.add_argument("--alpha", type=float, help="lower strip edge (alpha < 1)")
     common.add_argument("--beta", type=float, help="upper strip edge (beta > 1)")
     common.add_argument("--delta", type=float, help="Dorff angle in [pi/2, pi), radians")
-    common.add_argument("--order", type=int, default=256, help="truncation order")
-    common.add_argument("--radius", type=float, default=0.99, help="audit radius in (0, 1)")
-    common.add_argument("--grid-angles", type=int, default=1024, dest="grid_angles")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (64-bit)")
-    common.add_argument("--samples", type=int, default=10)
-    common.add_argument("--tolerance", type=float, default=1e-9)
-    common.add_argument(
-        "--output-format", choices=("json", "csv"), default="json", dest="output_format"
-    )
-    common.add_argument("--output-path", default=None, dest="output_path")
+    common.add_argument("--order", type=int, help="truncation order")
+    common.add_argument("--radius", type=float, help="audit radius in (0, 1)")
+    common.add_argument("--grid-angles", type=int)
+    common.add_argument("--seed", type=int, help="RNG seed (64-bit)")
+    common.add_argument("--samples", type=int)
+    common.add_argument("--tolerance", type=float)
+    common.add_argument("--output-format", choices=("json", "csv"))
+    common.add_argument("--output-path")
 
     parser = argparse.ArgumentParser(
         prog="stripcoef",
@@ -366,27 +357,26 @@ def _build_parser() -> argparse.ArgumentParser:
         help="audit seeded random members: membership, Rogosinski, per-n bounds",
     )
     gen = sub.add_parser(
-        "generate", parents=[common], help="emit Taylor coefficients of one member"
+        "generate", parents=[common], help="emit Taylor coefficients of one member", **unset
     )
     gen.add_argument(
         "--schwarz",
         choices=("identity", "scaled-rotation", "power", "blaschke-factor"),
-        default=None,
         help="Schwarz family (default: seeded random draw)",
     )
-    gen.add_argument("--c-re", type=float, default=1.0, dest="c_re")
-    gen.add_argument("--c-im", type=float, default=0.0, dest="c_im")
-    gen.add_argument("--k", type=int, default=2, help="power-family exponent")
-    gen.add_argument("--a-re", type=float, default=0.0, dest="a_re")
-    gen.add_argument("--a-im", type=float, default=0.0, dest="a_im")
-    gen.add_argument("--phi", type=float, default=0.0, help="Blaschke rotation, radians")
+    gen.add_argument("--c-re", type=float)
+    gen.add_argument("--c-im", type=float)
+    gen.add_argument("--k", type=int, help="power-family exponent")
+    gen.add_argument("--a-re", type=float)
+    gen.add_argument("--a-im", type=float)
+    gen.add_argument("--phi", type=float, help="Blaschke rotation, radians")
     pl = sub.add_parser(
-        "polylog", parents=[common], help="polylog evaluators with mutual deviations"
+        "polylog", parents=[common], help="polylog evaluators with mutual deviations", **unset
     )
-    pl.add_argument("--s", type=int, default=4, help="polylog weight (integer >= 2)")
-    pl.add_argument("--z-re", type=float, default=None, dest="z_re")
-    pl.add_argument("--z-im", type=float, default=None, dest="z_im")
-    pl.add_argument("--theta", type=float, default=None, help="circle angle in [0, 2*pi]")
+    pl.add_argument("--s", type=int, help="polylog weight (integer >= 2)")
+    pl.add_argument("--z-re", type=float)
+    pl.add_argument("--z-im", type=float)
+    pl.add_argument("--theta", type=float, help="circle angle in [0, 2*pi]")
     return parser
 
 

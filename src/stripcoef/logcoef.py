@@ -25,8 +25,6 @@ __all__ = [
     "log_coefficients",
     "extremal",
     "extremal_gammas",
-    "extremal_strip",
-    "extremal_dorff",
     "koebe_rotation",
     "generate_member",
     "random_strip_params",
@@ -184,16 +182,6 @@ def extremal(target, order: int) -> tuple[TruncatedSeries, LogCoeffVector]:
     target map itself, and its closed-form gammas."""
     vec = extremal_gammas(target, order)
     return series_exp(hat_series(target, order - 1)).shift(1), vec
-
-
-def extremal_strip(p: StripParams, order: int) -> tuple[TruncatedSeries, LogCoeffVector]:
-    """Extremal function of the strip class: :func:`extremal`."""
-    return extremal(p, order)
-
-
-def extremal_dorff(d: DorffParam, order: int) -> tuple[TruncatedSeries, LogCoeffVector]:
-    """Extremal function of the Dorff class: :func:`extremal`."""
-    return extremal(d, order)
 
 
 def koebe_rotation(

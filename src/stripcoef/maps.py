@@ -32,17 +32,13 @@ __all__ = [
     "DorffParam",
     "p_strip_eval",
     "b_strip_coeff",
-    "p_hat_coeff",
     "p_hat_eval",
     "p_strip_series",
-    "p_hat_series",
     "hat_series",
     "dorff_eval",
     "a_dorff_coeff",
-    "b_tilde_coeff",
     "b_tilde_eval",
     "dorff_series",
-    "b_tilde_series",
 ]
 
 # sin(delta) degenerates at delta = pi; pointwise evaluation stays away
@@ -206,11 +202,6 @@ def _over_n(coeff, target, n):
     return coeff(target, k) / k
 
 
-def p_hat_coeff(p: StripParams, n):
-    """Coefficient n of the integrated strip map: ``p.hat_coeff(n)``."""
-    return p.hat_coeff(n)
-
-
 # B_{2k} / (2k+1)! for k = 1..10 (B_2 = 1/6, B_4 = -1/30, ...): the
 # coefficients of Li_2(w) = u - u^2/4 + sum_k B_{2k} u^(2k+1) / (2k+1)!
 # with u = -log(1 - w).  On the half-disc Re w <= 1/2, |w| < 1 the bound
@@ -276,11 +267,6 @@ def hat_series(target, order: int) -> TruncatedSeries:
     return _series(0.0, target.hat_coeff, order)
 
 
-def p_hat_series(p: StripParams, order: int) -> TruncatedSeries:
-    """Truncated Taylor series of the integrated strip map: :func:`hat_series`."""
-    return hat_series(p, order)
-
-
 def dorff_eval(d: DorffParam, z):
     """Value of the Dorff map; vanishes at the origin.
 
@@ -308,11 +294,6 @@ def a_dorff_coeff(d: DorffParam, n):
     return float(val) if val.ndim == 0 else val
 
 
-def b_tilde_coeff(d: DorffParam, n):
-    """Coefficient n of the integrated Dorff map: ``d.hat_coeff(n)``."""
-    return d.hat_coeff(n)
-
-
 def b_tilde_eval(d: DorffParam, z):
     """Pointwise integrated Dorff map via dilogarithm primitives."""
     if d.delta > np.pi - _DELTA_EVAL_MARGIN:
@@ -326,8 +307,3 @@ def b_tilde_eval(d: DorffParam, z):
 def dorff_series(d: DorffParam, order: int) -> TruncatedSeries:
     """Truncated Taylor series of the Dorff map (vanishes at 0)."""
     return _series(0.0, partial(a_dorff_coeff, d), order)
-
-
-def b_tilde_series(d: DorffParam, order: int) -> TruncatedSeries:
-    """Truncated Taylor series of the integrated Dorff map: :func:`hat_series`."""
-    return hat_series(d, order)

@@ -30,6 +30,7 @@ __all__ = [
 # formulas use stays far below.  When the cap binds, the returned
 # tail_bound reports the accuracy actually achieved.
 _MAX_TERMS = 2_000_000
+_MAX_WEIGHT = 48  # the largest s for which (_MAX_TERMS + 1)**s is a finite float
 
 _ABS_TOL = 1e-12  # admits unit-circle inputs up to rounding
 
@@ -61,10 +62,10 @@ def _tail_bound(s: int, z: complex, m: int) -> float:
 
 
 def _terms_needed(s: int, z: complex, tol: float) -> int:
-    # the integral test alone reaches tol at m_int; bisect on the smallest
-    # majorant below that and the cap (the majorants fall with m)
-    m_int = int(math.ceil((1.0 / ((s - 1) * tol)) ** (1.0 / (s - 1))))
-    lo, hi = 8, max(min(m_int, _MAX_TERMS), 8)
+    # the integral test alone reaches tol at m_int (capped first: inf for tol near
+    # the smallest float); bisect on the smallest majorant below that, they fall with m
+    m_int = math.ceil(min((1.0 / ((s - 1) * tol)) ** (1.0 / (s - 1)), _MAX_TERMS))
+    lo, hi = 8, max(m_int, 8)
     while lo < hi:
         mid = (lo + hi) // 2
         if _tail_bound(s, z, mid) <= tol:
@@ -77,13 +78,16 @@ def _terms_needed(s: int, z: complex, tol: float) -> int:
 def polylog(s: int, z: complex, tol: float = 1e-12) -> PolylogResult:
     """Li_s(z) = sum_{n>=1} z^n / n^s by direct summation.
 
-    Valid for integer s >= 2 and |z| <= 1 (the series diverges on the
-    circle for smaller s).  The number of terms is chosen so the reported
-    tail bound falls below `tol` whenever that is reachable within the
-    term cap; the bound in the result is always truthful.
+    Valid for integer 2 <= s <= 48 and |z| <= 1 (the series diverges on
+    the circle for smaller s; above 48 the terms n^s can overflow a
+    float).  The number of terms is chosen so the reported tail bound
+    falls below `tol` whenever that is reachable within the term cap; the
+    bound in the result is always truthful.
     """
     if not isinstance(s, (int, np.integer)) or s < 2:
         raise ValueError("polylog weight s must be an integer >= 2")
+    if s > _MAX_WEIGHT:
+        raise ValueError(f"polylog weight s must be at most {_MAX_WEIGHT}")
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     z = complex(z)

@@ -1,4 +1,4 @@
-"""Truncated complex power-series arithmetic.
+"""Truncated complex power series.
 
 A :class:`TruncatedSeries` holds the Taylor coefficients ``c0..cN`` of an
 analytic function on the unit disc, truncated at a declared order ``N``
@@ -7,7 +7,7 @@ exponential and logarithm are computed by coefficient recurrences (the
 exponential by Newton iteration at high order), never pointwise, so no
 branch of ``log`` is ever chosen inside the engine.
 
-Binary operations truncate to the smaller order of the two operands;
+Composition truncates to the smaller order of its two operands;
 coefficients beyond the common order are unknown, not zero.
 """
 
@@ -25,8 +25,8 @@ __all__ = [
     "coeffs_by_circle_sampling",
 ]
 
-# Tolerance for the "normalized" tag (c0 = 0, c1 = 1); arithmetic on
-# normalized series keeps these exact, the slack only absorbs roundoff.
+# Tolerance for the "normalized" tag (c0 = 0, c1 = 1); the operations on
+# normalized series keep these exact, the slack only absorbs roundoff.
 _NORMALIZED_TOL = 1e-12
 
 # series_exp switches from the recurrence to Newton iteration at this
@@ -59,10 +59,6 @@ class TruncatedSeries:
         return len(self.coeffs) - 1
 
     @classmethod
-    def zero(cls, order: int) -> TruncatedSeries:
-        return cls(np.zeros(order + 1))
-
-    @classmethod
     def identity(cls, order: int) -> TruncatedSeries:
         """The series of f(z) = z."""
         c = np.zeros(order + 1, dtype=complex)
@@ -73,30 +69,6 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(order={self.order}, coeffs={self.coeffs!r})"
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
-        n = min(self.order, other.order)
-        return TruncatedSeries(self.coeffs[: n + 1] + other.coeffs[: n + 1])
-
-    def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        n = min(self.order, other.order)
-        return TruncatedSeries(self.coeffs[: n + 1] - other.coeffs[: n + 1])
-
-    def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries(-self.coeffs)
-
-    def __mul__(self, other):
-        """Cauchy product, truncated at the smaller order; or scalar scale."""
-        if isinstance(other, TruncatedSeries):
-            n = min(self.order, other.order)
-            full = np.convolve(self.coeffs[: n + 1], other.coeffs[: n + 1])
-            return TruncatedSeries(full[: n + 1])
-        return TruncatedSeries(self.coeffs * complex(other))
-
-    def __rmul__(self, other) -> TruncatedSeries:
-        return self.__mul__(other)
 
     # -- calculus ----------------------------------------------------------
 
@@ -143,8 +115,6 @@ class TruncatedSeries:
         if np.ndim(z) == 0:
             return complex(result)
         return result
-
-    __call__ = evaluate
 
     def circle_values(self, radius: float, angles: int) -> np.ndarray:
         """Values at radius * exp(2 pi i j / angles), j = 0..angles-1.
@@ -275,7 +245,8 @@ def log_normalized(f: TruncatedSeries) -> TruncatedSeries:
 
 
 def compose_schwarz(h: TruncatedSeries, w: TruncatedSeries) -> TruncatedSeries:
-    """Taylor coefficients of h(w(z)) for a Schwarz-type inner series.
+    """Taylor coefficients of h(w(z)) for a Schwarz-type inner series
+    (test oracle; ``generate_member`` composes in closed form).
 
     Requires w_0 = 0 (composition is then well defined order by order).
     Horner evaluation over truncated series; result order is the smaller
@@ -302,8 +273,9 @@ def coeffs_by_circle_sampling(
     """Recover Taylor coefficients of an analytic function by circle sampling.
 
     Discrete Fourier extraction: c_k ~ r**(-k) * mean over M samples of
-    eval(r e^{i theta_j}) e^{-ik theta_j}, with M >= 4*(order+1).  This is
-    an oracle for cross-checking closed-form coefficients; accuracy
+    eval(r e^{i theta_j}) e^{-ik theta_j}, with M >= 4*(order+1).  `eval_fn`
+    is called once on the whole grid and must return one value per point.
+    This is an oracle for cross-checking closed-form coefficients; accuracy
     degrades gracefully and callers assert their own tolerances.
     """
     if not 0.0 < radius < 1.0:
@@ -313,12 +285,9 @@ def coeffs_by_circle_sampling(
         raise ValueError("need at least 4*(order+1) samples")
     theta = 2.0 * np.pi * np.arange(m) / m
     grid = radius * np.exp(1j * theta)
-    try:
-        vals = np.asarray(eval_fn(grid), dtype=complex)
-        if vals.shape != grid.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([eval_fn(z) for z in grid], dtype=complex)
+    vals = np.asarray(eval_fn(grid), dtype=complex)
+    if vals.shape != grid.shape:
+        raise ValueError(f"eval_fn returned shape {vals.shape} for a grid of {m} points")
     coeffs = np.fft.fft(vals)[: order + 1] / m
     coeffs *= radius ** -np.arange(order + 1)
     return TruncatedSeries(coeffs)

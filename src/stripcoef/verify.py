@@ -5,7 +5,8 @@ quantity, the sharp bound it is tested against, a truncation-tail
 estimate, and a verdict.
 Verdicts follow one tolerance policy: ``tol = max(tail_estimate, 1e-9)``
 unless the caller overrides it; truncation, not arithmetic, dominates
-the error everywhere in this artifact.
+the error everywhere in this artifact.  :func:`sharpness` keeps the tail
+in even then: its tolerance is ``max(tail_estimate, tolerance)``.
 
 Negative controls (deliberately violated inputs) are part of the checker
 contracts so the discriminating power of each verdict is itself tested.
@@ -13,6 +14,7 @@ contracts so the discriminating power of each verdict is itself tested.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,10 +25,7 @@ from .series import TruncatedSeries, coeffs_by_circle_sampling
 
 __all__ = [
     "BoundReport",
-    "bound_strip",
-    "bound_dorff",
-    "per_n_bound_strip",
-    "per_n_bound_dorff",
+    "audit_min_order",
     "sum_gamma_sq",
     "rogosinski_check",
     "membership_check",
@@ -47,6 +46,9 @@ TOLERANCE_FLOOR = 1e-9
 # order * log(1/radius) >= this, so the series tail at the sampling
 # radius is negligible against every membership margin we test
 _MEMBERSHIP_TAIL_EXPONENT = 14.0
+_MEMBERSHIP_MIN_ORDER = 64
+# audit_member checks gamma_1..gamma_n_max against the per-n and sum bounds
+_AUDIT_N_MAX = 128
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ def _report(
     equality_applicable: bool = True,
 ) -> BoundReport:
     tol = _resolve_tol(tail, tolerance)
-    if not np.all(np.isfinite((lhs, rhs))):
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
         # every comparison with NaN is false, which would read as holds
         verdict = VIOLATED
         context = {**context, "reason": "non-finite lhs or rhs"}
@@ -95,27 +97,24 @@ def _report(
     return BoundReport(lhs, rhs, tail, verdict, context)
 
 
-# -- bound values ------------------------------------------------------------
+def audit_min_order(radius: float, n_max: int = _AUDIT_N_MAX) -> int:
+    """Smallest series order :func:`audit_member` accepts at `radius`.
+
+    Its membership check needs order >= 64 and order >= 14/log(1/radius),
+    so the truncation tail at the sampling radius is dominated (a
+    documented heuristic, not a proof); its coefficient checks read the
+    first n_max + 1 terms.  ``n_max=0`` gives the membership floor alone.
+    """
+    if not 0.0 < radius < 1.0:
+        raise ValueError("radius must lie in (0, 1)")
+    tail_order = int(np.ceil(_MEMBERSHIP_TAIL_EXPONENT / np.log(1.0 / radius)))
+    return max(_MEMBERSHIP_MIN_ORDER, tail_order, n_max + 1)
 
 
-def bound_strip(p: StripParams) -> float:
-    """Sharp upper bound for sum |gamma_n|^2 over the strip class."""
-    return p.sum_bound()
-
-
-def bound_dorff(d: DorffParam) -> float:
-    """Sharp upper bound for sum |gamma_n|^2 over the Dorff class."""
-    return d.sum_bound()
-
-
-def per_n_bound_strip(p: StripParams, n: int) -> float:
-    """Per-coefficient bound |gamma_n| <= (width/(n pi)) |sin(pi mu)|."""
-    return p.per_n_bound(n)
-
-
-def per_n_bound_dorff(n: int) -> float:
-    """Per-coefficient bound |gamma_n| <= 1/(2n) for the Dorff class."""
-    return DorffParam.per_n_bound(n)
+def _check_order(f: TruncatedSeries, radius: float, n_max: int) -> None:
+    need = audit_min_order(radius, n_max)
+    if f.order < need:
+        raise ValueError(f"series order {f.order} too small for radius {radius}: need {need}")
 
 
 def sum_gamma_sq(v: LogCoeffVector) -> tuple[float, float]:
@@ -168,18 +167,11 @@ def membership_check(
 ) -> BoundReport:
     """Audit Re{z f'(z)/f(z)} against the target strip on a circle grid.
 
-    Requires order * log(1/radius) >= 14 so the truncation tail at the
-    sampling radius is dominated (a documented heuristic, not a proof).
-    The lhs is the worst excursion beyond the strip edges (0 when every
-    sample is strictly inside).
+    Requires order >= ``audit_min_order(radius, n_max=0)``.  The lhs is
+    the worst excursion beyond the strip edges (0 when every sample is
+    strictly inside).
     """
-    if not 0.0 < radius < 1.0:
-        raise ValueError("radius must lie in (0, 1)")
-    if f.order < 64 or f.order * np.log(1.0 / radius) < _MEMBERSHIP_TAIL_EXPONENT:
-        raise ValueError(
-            "series order too small for this radius: need order >= 64 "
-            "and order * log(1/radius) >= 14"
-        )
+    _check_order(f, radius, 0)
     if not f.is_normalized():
         raise ValueError("membership audit requires a normalized series")
     lower, upper = target.lower, target.upper
@@ -282,6 +274,7 @@ def sharpness(target, order: int = 4096, tolerance: float | None = None) -> Boun
     return _report(partial, target.sum_bound(), tail, context, tol)
 
 
+# sharpness_strip and sharpness_dorff stay: perfbench/workloads.py calls them by name
 def sharpness_strip(
     p: StripParams, order: int = 4096, tolerance: float | None = None
 ) -> BoundReport:
@@ -302,7 +295,7 @@ def audit_member(
     radius: float,
     angles: int,
     k_max: int = 64,
-    n_max: int = 128,
+    n_max: int = _AUDIT_N_MAX,
     tolerance: float | None = None,
 ) -> list[BoundReport]:
     """Full soundness audit of one class member.
@@ -311,8 +304,10 @@ def audit_member(
     dominance of 2*gamma against the integrated target map, the worst
     per-coefficient bound over n <= n_max, and the coefficient-sum bound
     (partial sums can only fall below the full-series bound, so equality
-    is not expected for the last three on non-extremal members).
+    is not expected for the last three on non-extremal members).  The
+    series order must reach ``audit_min_order(radius, n_max)``.
     """
+    _check_order(f, radius, n_max)
     gam = log_coefficients(f.truncate(n_max + 1)).gammas
     n = np.arange(1, n_max + 1)
     dom = target.hat_coeff(np.arange(1, k_max + 1))

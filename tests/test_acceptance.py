@@ -13,8 +13,7 @@ from scipy.special import zeta
 
 from stripcoef.logcoef import (
     SchwarzSpec,
-    extremal_dorff,
-    extremal_strip,
+    extremal,
     generate_member,
     koebe_rotation,
     log_coefficients,
@@ -27,14 +26,10 @@ from stripcoef.maps import (
     StripParams,
     a_dorff_coeff,
     b_strip_coeff,
-    b_tilde_coeff,
     b_tilde_eval,
-    b_tilde_series,
     dorff_eval,
     dorff_series,
-    p_hat_coeff,
     p_hat_eval,
-    p_hat_series,
     p_strip_eval,
     p_strip_series,
 )
@@ -44,10 +39,7 @@ from stripcoef.verify import (
     EQUALITY,
     VIOLATED,
     audit_member,
-    bound_dorff,
-    bound_strip,
     convexity_probe,
-    per_n_bound_strip,
     sharpness_dorff,
     sharpness_strip,
     sum_gamma_sq,
@@ -66,8 +58,8 @@ def _criterion(num: int, ok: bool, detail: str) -> None:
 def test_criterion_1_strip_sharpness_analytic_point():
     start = time.perf_counter()
     p = StripParams(0.5, 1.5)
-    rhs = bound_strip(p)
-    _, vec = extremal_strip(p, 4096)
+    rhs = p.sum_bound()
+    _, vec = extremal(p, 4096)
     partial, _ = sum_gamma_sq(vec)
     tail = p.width**2 / (3.0 * PI**2 * 4096**3)
     elapsed = time.perf_counter() - start
@@ -77,7 +69,7 @@ def test_criterion_1_strip_sharpness_analytic_point():
     _criterion(
         1,
         ok,
-        f"bound_strip(1/2,3/2) off pi^2/96 by {exact:.2e}; "
+        f"sum_bound(1/2,3/2) off pi^2/96 by {exact:.2e}; "
         f"extremal sum gap {gap:.2e} <= tail {tail:.2e}; {elapsed:.2f}s",
     )
 
@@ -85,8 +77,8 @@ def test_criterion_1_strip_sharpness_analytic_point():
 def test_criterion_2_dorff_sharpness_analytic_point():
     start = time.perf_counter()
     d = DorffParam(PI / 2.0)
-    rhs = bound_dorff(d)
-    _, vec = extremal_dorff(d, 4096)
+    rhs = d.sum_bound()
+    _, vec = extremal(d, 4096)
     partial, tail = sum_gamma_sq(vec)
     elapsed = time.perf_counter() - start
     exact = abs(rhs - PI**4 / 384.0)
@@ -95,7 +87,7 @@ def test_criterion_2_dorff_sharpness_analytic_point():
     _criterion(
         2,
         ok,
-        f"bound_dorff(pi/2) off pi^4/384 by {exact:.2e}; "
+        f"sum_bound(pi/2) off pi^4/384 by {exact:.2e}; "
         f"extremal sum gap {gap:.2e} <= tail {tail:.2e}; {elapsed:.2f}s",
     )
 
@@ -189,9 +181,9 @@ def test_criterion_7_coefficient_oracle_equivalence():
         n = np.arange(1, 33)
         pairs = [
             (b_strip_coeff(p, n), lambda z: p_strip_eval(p, z)),
-            (p_hat_coeff(p, n), lambda z: p_hat_eval(p, z)),
+            (p.hat_coeff(n), lambda z: p_hat_eval(p, z)),
             (a_dorff_coeff(d, n), lambda z: dorff_eval(d, z)),
-            (b_tilde_coeff(d, n), lambda z: b_tilde_eval(d, z)),
+            (d.hat_coeff(n), lambda z: b_tilde_eval(d, z)),
         ]
         for exact, eval_fn in pairs:
             sampled = coeffs_by_circle_sampling(eval_fn, 32, radius)
@@ -245,7 +237,7 @@ def test_criterion_9_engine_round_trip():
 def test_criterion_10_starlike_limit():
     p = StripParams(0.0, 1e6)
     worst = max(
-        abs(per_n_bound_strip(p, n) - 1.0 / n) for n in range(1, 17)
+        abs(p.per_n_bound(n) - 1.0 / n) for n in range(1, 17)
     )
     ok = worst < 1e-6
     _criterion(10, ok, f"per-n bound at beta=1e6 off (1-alpha)/n by {worst:.2e}")

@@ -7,8 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from dataclasses import asdict
+
 from stripcoef import cli
-from stripcoef.cli import main
+from stripcoef.cli import RunConfig, main
 from stripcoef.verify import BoundReport, VIOLATED
 from stripcoef.cli import _exit_code
 
@@ -134,6 +136,18 @@ class TestCheckMembershipCommand:
         record = json.loads(proc.stderr)
         assert record["kind"] == "config"
 
+    def test_order_floor_covers_coefficient_audit(self, capsys):
+        # at radius 0.5 the membership floor is 64, but the audit reads 129 terms
+        argv = ["check-membership", "--delta", "2.0", "--radius", "0.5", "--samples", "1"]
+        assert main([*argv, "--order", "128"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        record = json.loads(err)
+        assert record["kind"] == "config"
+        assert "129" in record["error"]
+        assert main([*argv, "--order", "129"]) == 0
+        capsys.readouterr()
+
 
 class TestGenerateCommand:
     def test_identity_member_matches_extremal(self, tmp_path):
@@ -148,10 +162,10 @@ class TestGenerateCommand:
         assert proc.returncode == 0
         rows = list(csv.DictReader(out.open()))
         assert [r["n"] for r in rows[:3]] == ["0", "1", "2"]
-        from stripcoef.logcoef import extremal_strip
+        from stripcoef.logcoef import extremal
         from stripcoef.maps import StripParams
 
-        f, _ = extremal_strip(StripParams(0.5, 1.5), 16)
+        f, _ = extremal(StripParams(0.5, 1.5), 16)
         got = np.array([complex(float(r["re"]), float(r["im"])) for r in rows])
         assert np.max(np.abs(got - f.coeffs)) < 1e-16
 
@@ -181,6 +195,22 @@ class TestPolylogCommand:
     def test_missing_argument_is_config_error(self):
         proc = run_cli("polylog")
         assert proc.returncode == 2
+
+    @pytest.mark.filterwarnings("error")
+    def test_weight_and_tolerance_extremes(self, capsys):
+        assert main(["polylog", "--s", "49", "--z-re", "0.5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["kind"] == "config"
+        for argv in (
+            ["--s", "48", "--z-re", "0.5", "--tolerance", "5e-324"],
+            ["--s", "2", "--z-re", "0.5", "--tolerance", "1e-320"],
+        ):
+            assert main(["polylog", *argv]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            ctx = json.loads(out)["reports"][0]["context"]
+            assert ctx["tail_bound"] <= float(argv[-1])
 
 
 class TestConfigErrors:
@@ -252,6 +282,26 @@ class TestConfigErrors:
     def test_unknown_command_usage_error(self):
         proc = run_cli("frobnicate")
         assert proc.returncode == 2
+
+
+class TestDefaults:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--delta", "2.0"],
+            ["generate", "--delta", "2.0"],
+            ["polylog", "--theta", "1.0"],
+        ],
+    )
+    def test_parser_sets_only_given_options(self, argv):
+        # every default lives in RunConfig; the parser adds none of its own
+        args = vars(cli._build_parser().parse_args(argv))
+        assert args == {"command": argv[0], argv[1][2:]: float(argv[2])}
+
+    def test_echoed_config_is_runconfig_default(self, capsys):
+        assert main(["polylog", "--theta", "1.0"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config == asdict(RunConfig("polylog", theta=1.0))
 
 
 class TestExitCodeContract:

@@ -81,7 +81,10 @@ _BAD_COMMON = [
 ]
 _BAD = {
     "generate": [("--c-re", NAN), ("--c-re", 1.5), ("--k", 0), ("--a-re", 1.0), ("--phi", INF)],
-    "polylog": [("--z-re", 1.5), ("--z-im", NAN), ("--theta", 7.0), ("--theta", INF), ("--s", 1)],
+    "polylog": [
+        ("--z-re", 1.5), ("--z-im", NAN), ("--theta", 7.0), ("--theta", INF),
+        ("--s", 1), ("--s", 49),
+    ],
 }
 
 _COMMANDS = ["coeffs", "bounds", "verify-sharpness", "check-membership", "generate", "polylog"]

@@ -5,8 +5,7 @@ from stripcoef.logcoef import (
     LogCoeffVector,
     SchwarzSpec,
     _log_one_minus,
-    extremal_dorff,
-    extremal_strip,
+    extremal,
     generate_member,
     koebe_rotation,
     log_coefficients,
@@ -18,8 +17,6 @@ from stripcoef.maps import (
     DorffParam,
     StripParams,
     b_strip_coeff,
-    b_tilde_coeff,
-    p_hat_coeff,
     p_strip_series,
 )
 from stripcoef.series import TruncatedSeries, compose_schwarz
@@ -65,7 +62,7 @@ class TestLogCoefficients:
 
 class TestExtremalStrip:
     def test_symmetric_strip_gammas(self):
-        _, v = extremal_strip(HALF, 64)
+        _, v = extremal(HALF, 64)
         assert abs(v.gamma(1) - 1j / PI) < 1e-15
         assert v.gamma(2) == 0.0
         assert abs(v.gamma(3) - 1j / (9.0 * PI)) < 1e-15
@@ -74,21 +71,21 @@ class TestExtremalStrip:
         rng = np.random.default_rng(31)
         for _ in range(5):
             p = random_strip_params(rng)
-            f, v = extremal_strip(p, 256)
+            f, v = extremal(p, 256)
             extracted = log_coefficients(f)
             err = np.max(np.abs(extracted.gammas[:128] - v.gammas[:128]))
             assert err < 1e-10
 
     def test_log_derivative_reproduces_map_coefficients(self):
         # z f'/f of the extremal equals the strip map, order by order
-        f, _ = extremal_strip(HALF, 128)
+        f, _ = extremal(HALF, 128)
         ell = log_coefficients(f)
         n = np.arange(1, 65)
         got = 2.0 * n * ell.gammas[:64]
         assert np.max(np.abs(got - b_strip_coeff(HALF, n))) < 1e-12
 
     def test_gamma_square_sum_symmetric_strip(self):
-        _, v = extremal_strip(HALF, 2048)
+        _, v = extremal(HALF, 2048)
         total = float(np.sum(np.abs(v.gammas) ** 2))
         assert abs(total - PI**2 / 96.0) < 1e-7
 
@@ -96,14 +93,14 @@ class TestExtremalStrip:
         rng = np.random.default_rng(37)
         for _ in range(5):
             p = random_strip_params(rng)
-            _, v = extremal_strip(p, 128)
+            _, v = extremal(p, 128)
             n = np.arange(1, 129)
             assert np.all(np.abs(v.gammas) <= v.tail_constant / n**2 + 1e-15)
 
 
 class TestExtremalDorff:
     def test_right_angle_gammas(self):
-        _, v = extremal_dorff(RIGHT, 64)
+        _, v = extremal(RIGHT, 64)
         assert abs(v.gamma(1) - 0.5) < 1e-15
         assert abs(v.gamma(2)) < 1e-15
         assert abs(v.gamma(3) - (-1.0 / 18.0)) < 1e-15
@@ -112,7 +109,7 @@ class TestExtremalDorff:
         rng = np.random.default_rng(41)
         for _ in range(5):
             d = random_dorff_param(rng)
-            f, v = extremal_dorff(d, 256)
+            f, v = extremal(d, 256)
             extracted = log_coefficients(f)
             err = np.max(np.abs(extracted.gammas[:128] - v.gammas[:128]))
             assert err < 1e-10
@@ -121,12 +118,12 @@ class TestExtremalDorff:
         rng = np.random.default_rng(43)
         for _ in range(10):
             d = random_dorff_param(rng)
-            _, v = extremal_dorff(d, 128)
+            _, v = extremal(d, 128)
             n = np.arange(1, 129)
             assert np.all(np.abs(v.gammas) <= 0.5 / n + 1e-15)
 
     def test_gamma_square_sum_right_angle(self):
-        _, v = extremal_dorff(RIGHT, 2048)
+        _, v = extremal(RIGHT, 2048)
         total = float(np.sum(np.abs(v.gammas) ** 2))
         assert abs(total - PI**4 / 384.0) < 1e-7
 
@@ -236,13 +233,13 @@ class TestLogOneMinus:
 
 class TestGenerateMember:
     def test_identity_reproduces_extremal_strip(self):
-        f, _ = extremal_strip(HALF, 128)
+        f, _ = extremal(HALF, 128)
         g = generate_member(HALF, SchwarzSpec.identity(), 128)
         assert np.max(np.abs(f.coeffs - g.coeffs)) < 1e-12
 
     def test_identity_reproduces_extremal_dorff(self):
         d = DorffParam(2.0)
-        f, _ = extremal_dorff(d, 128)
+        f, _ = extremal(d, 128)
         g = generate_member(d, SchwarzSpec.identity(), 128)
         assert np.max(np.abs(f.coeffs - g.coeffs)) < 1e-12
 
@@ -273,7 +270,7 @@ class TestGenerateMember:
         gam = log_coefficients(g.truncate(65)).gammas
         n = np.arange(1, 65)
         sub = np.cumsum(np.abs(2.0 * gam[:64]) ** 2)
-        dom = np.cumsum(np.abs(p_hat_coeff(HALF, n)) ** 2)
+        dom = np.cumsum(np.abs(HALF.hat_coeff(n)) ** 2)
         assert np.all(sub <= dom + 1e-12)
 
     def test_member_gammas_respect_per_n_bounds(self):
@@ -305,7 +302,7 @@ class TestGenerateMember:
         gam = log_coefficients(g.truncate(65)).gammas
         n = np.arange(1, 65)
         sub = np.cumsum(np.abs(2.0 * gam[:64]) ** 2)
-        dom = np.cumsum(np.abs(b_tilde_coeff(d, n)) ** 2)
+        dom = np.cumsum(np.abs(d.hat_coeff(n)) ** 2)
         assert np.all(sub <= dom + 1e-12)
 
 

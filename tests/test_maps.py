@@ -9,14 +9,11 @@ from stripcoef.maps import (
     _li2,
     a_dorff_coeff,
     b_strip_coeff,
-    b_tilde_coeff,
     b_tilde_eval,
-    b_tilde_series,
     dorff_eval,
     dorff_series,
-    p_hat_coeff,
+    hat_series,
     p_hat_eval,
-    p_hat_series,
     p_strip_eval,
     p_strip_series,
 )
@@ -124,21 +121,21 @@ class TestStripMap:
 class TestIntegratedStripMap:
     def test_coeff_is_scaled_map_coeff(self):
         for n in range(1, 65):
-            assert p_hat_coeff(HALF, n) == b_strip_coeff(HALF, n) / n
+            assert HALF.hat_coeff(n) == b_strip_coeff(HALF, n) / n
 
     def test_symmetric_values(self):
-        assert abs(p_hat_coeff(HALF, 1) - 2j / PI) < 1e-15
-        assert abs(p_hat_coeff(HALF, 3) - 2j / (9 * PI)) < 1e-15
+        assert abs(HALF.hat_coeff(1) - 2j / PI) < 1e-15
+        assert abs(HALF.hat_coeff(3) - 2j / (9 * PI)) < 1e-15
 
     def test_pointwise_matches_series(self):
         rng = np.random.default_rng(17)
-        s = p_hat_series(HALF, 512)
+        s = hat_series(HALF, 512)
         for _ in range(10):
             z = 0.5 * np.sqrt(rng.uniform()) * np.exp(2j * PI * rng.uniform())
             assert abs(p_hat_eval(HALF, z) - s.evaluate(z)) < 1e-12
 
     def test_series_is_integral_of_map_series(self):
-        lhs = p_hat_series(HALF, 64)
+        lhs = hat_series(HALF, 64)
         p = p_strip_series(HALF, 64)
         shifted = np.concatenate([[0.0], p.coeffs[1:]])  # P - 1
         from stripcoef.series import TruncatedSeries
@@ -199,19 +196,19 @@ class TestDorffMap:
 
 class TestIntegratedDorffMap:
     def test_coeff_is_scaled_map_coeff(self):
-        assert b_tilde_coeff(RIGHT, 1) == 1.0
-        assert abs(b_tilde_coeff(RIGHT, 3) + 1.0 / 9.0) < 1e-15
+        assert RIGHT.hat_coeff(1) == 1.0
+        assert abs(RIGHT.hat_coeff(3) + 1.0 / 9.0) < 1e-15
 
     def test_series_is_integral_of_map_series(self):
         d = DorffParam(2.5)
-        lhs = b_tilde_series(d, 64)
+        lhs = hat_series(d, 64)
         rhs = dorff_series(d, 64).integrate_over_t()
         assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-15
 
     def test_pointwise_matches_series(self):
         rng = np.random.default_rng(29)
         d = DorffParam(2.0)
-        s = b_tilde_series(d, 512)
+        s = hat_series(d, 512)
         for _ in range(10):
             z = 0.5 * np.sqrt(rng.uniform()) * np.exp(2j * PI * rng.uniform())
             assert abs(b_tilde_eval(d, z) - s.evaluate(z)) < 1e-12

@@ -96,6 +96,29 @@ class TestPolylogSeries:
         with pytest.raises(ValueError):
             polylog(2.5, 0.5)
 
+    def test_rejects_weight_above_48(self):
+        # (2 000 001)^49, the largest n^s at the term cap, overflows a float
+        with pytest.raises(ValueError, match="at most 48"):
+            polylog(49, 0.5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_weight_48_at_smallest_tolerance(self):
+        # the integral-test estimate is inf at this tolerance and is capped;
+        # n^48 stays finite up to the cap
+        for z in (0.5, 1.0, -1.0, np.exp(1j)):
+            res = polylog(48, z, tol=5e-324)
+            assert res.terms_used <= 2_000_000
+            assert res.tail_bound < 1e-297
+            # Li_48(z) = z + z^2/2^48 + (terms below 1e-22)
+            assert abs(res.value - (z + z * z / 2.0**48)) < 1e-15
+
+    @pytest.mark.filterwarnings("error")
+    def test_weight_two_at_smallest_tolerance(self):
+        res = polylog(2, 0.5, tol=5e-324)
+        assert res.tail_bound <= 5e-324
+        exact = PI**2 / 12.0 - np.log(2.0) ** 2 / 2.0
+        assert abs(res.value - exact) < 1e-15
+
 
 class TestSymmetricCircle:
     def test_theta_zero_doubles_zeta4(self):

@@ -4,8 +4,7 @@ import pytest
 from stripcoef.logcoef import (
     LogCoeffVector,
     SchwarzSpec,
-    extremal_dorff,
-    extremal_strip,
+    extremal,
     generate_member,
     koebe_rotation,
     random_dorff_param,
@@ -28,12 +27,9 @@ from stripcoef.verify import (
     HOLDS,
     VIOLATED,
     audit_member,
-    bound_dorff,
-    bound_strip,
+    audit_min_order,
     convexity_probe,
     membership_check,
-    per_n_bound_dorff,
-    per_n_bound_strip,
     reference_constants,
     rogosinski_check,
     sharpness_dorff,
@@ -48,15 +44,15 @@ RIGHT = DorffParam(PI / 2.0)
 
 class TestBounds:
     def test_strip_symmetric_point(self):
-        assert abs(bound_strip(HALF) - PI**2 / 96.0) < 1e-12
+        assert abs(HALF.sum_bound() - PI**2 / 96.0) < 1e-12
 
     def test_dorff_right_angle(self):
-        assert abs(bound_dorff(RIGHT) - PI**4 / 384.0) < 1e-12
+        assert abs(RIGHT.sum_bound() - PI**4 / 384.0) < 1e-12
 
     def test_strip_bound_vanishes_continuously_at_degenerate_phase(self):
         # mu -> 0+ is unreachable but the bound must tend to 0 smoothly
         values = [
-            bound_strip(StripParams(1.0 - eps, 2.0 - eps))
+            StripParams(1.0 - eps, 2.0 - eps).sum_bound()
             for eps in (1e-2, 1e-4, 1e-6)
         ]
         assert values[0] > values[1] > values[2] > 0.0
@@ -65,23 +61,23 @@ class TestBounds:
         d = DorffParam(2.0 * PI / 3.0)
         n = np.arange(1, 300_000)
         brute = float(np.sum(np.sin(n * d.delta) ** 2 / (4.0 * np.sin(d.delta) ** 2 * n**4.0)))
-        assert abs(bound_dorff(d) - brute) < 1e-9
+        assert abs(d.sum_bound() - brute) < 1e-9
 
     def test_strip_equals_extremal_square_sum(self):
         rng = np.random.default_rng(73)
         for _ in range(5):
             p = random_strip_params(rng)
-            _, vec = extremal_strip(p, 4096)
+            _, vec = extremal(p, 4096)
             partial, tail = sum_gamma_sq(vec)
-            assert abs(partial - bound_strip(p)) <= tail
+            assert abs(partial - p.sum_bound()) <= tail
 
     def test_dorff_equals_extremal_square_sum(self):
         rng = np.random.default_rng(79)
         for _ in range(5):
             d = random_dorff_param(rng)
-            _, vec = extremal_dorff(d, 4096)
+            _, vec = extremal(d, 4096)
             partial, tail = sum_gamma_sq(vec)
-            assert abs(partial - bound_dorff(d)) <= tail
+            assert abs(partial - d.sum_bound()) <= tail
 
     def test_positivity_of_circle_deficit(self):
         # pi^4/45 minus the symmetric circle sum stays positive inside (0, 2pi)
@@ -92,13 +88,13 @@ class TestBounds:
     def test_bounds_positive_on_random_draws(self):
         rng = np.random.default_rng(83)
         for _ in range(50):
-            assert bound_strip(random_strip_params(rng)) > 0.0
-            assert bound_dorff(random_dorff_param(rng)) > 0.0
+            assert random_strip_params(rng).sum_bound() > 0.0
+            assert random_dorff_param(rng).sum_bound() > 0.0
 
 
 class TestPerNBounds:
     def test_strip_symmetric_first(self):
-        assert abs(per_n_bound_strip(HALF, 1) - 1.0 / PI) < 1e-15
+        assert abs(HALF.per_n_bound(1) - 1.0 / PI) < 1e-15
 
     def test_strip_identity_with_first_map_coefficient(self):
         rng = np.random.default_rng(89)
@@ -106,27 +102,27 @@ class TestPerNBounds:
             p = random_strip_params(rng)
             for n in (1, 2, 7):
                 expected = abs(b_strip_coeff(p, 1)) / (2.0 * n)
-                assert abs(per_n_bound_strip(p, n) - expected) < 1e-15
+                assert abs(p.per_n_bound(n) - expected) < 1e-15
 
     def test_starlike_limit(self):
         p = StripParams(0.0, 1e6)
         for n in range(1, 17):
-            assert per_n_bound_strip(p, n) <= 1.0 / n + 1e-6
-            assert abs(per_n_bound_strip(p, n) - 1.0 / n) < 1e-6
+            assert p.per_n_bound(n) <= 1.0 / n + 1e-6
+            assert abs(p.per_n_bound(n) - 1.0 / n) < 1e-6
 
     def test_dorff_values(self):
-        assert per_n_bound_dorff(1) == 0.5
-        assert per_n_bound_dorff(2) == 0.25
+        assert DorffParam.per_n_bound(1) == 0.5
+        assert DorffParam.per_n_bound(2) == 0.25
 
     def test_dorff_attained_at_first_gamma(self):
-        _, vec = extremal_dorff(RIGHT, 16)
-        assert abs(vec.gamma(1)) == per_n_bound_dorff(1)
+        _, vec = extremal(RIGHT, 16)
+        assert abs(vec.gamma(1)) == DorffParam.per_n_bound(1)
 
     def test_reject_bad_index(self):
         with pytest.raises(ValueError):
-            per_n_bound_strip(HALF, 0)
+            HALF.per_n_bound(0)
         with pytest.raises(ValueError):
-            per_n_bound_dorff(0)
+            DorffParam.per_n_bound(0)
 
 
 class TestSumGammaSq:
@@ -144,7 +140,7 @@ class TestSumGammaSq:
         assert abs(partial + zeta(2, 4097) - PI**2 / 6.0) < 1e-7
 
     def test_extremal_strip_value(self):
-        _, vec = extremal_strip(HALF, 4096)
+        _, vec = extremal(HALF, 4096)
         partial, tail = sum_gamma_sq(vec)
         assert abs(partial - PI**2 / 96.0) <= tail
 
@@ -183,7 +179,7 @@ class TestMembership:
         assert report.lhs == 0.0
 
     def test_extremal_strip_holds(self):
-        f, _ = extremal_strip(HALF, 2048)
+        f, _ = extremal(HALF, 2048)
         report = membership_check(f, HALF, 0.99, 512)
         assert report.verdict == HOLDS
         assert HALF.alpha < report.context["re_min"]
@@ -191,7 +187,7 @@ class TestMembership:
 
     def test_extremal_dorff_holds(self):
         d = DorffParam(2.4)
-        f, _ = extremal_dorff(d, 2048)
+        f, _ = extremal(d, 2048)
         report = membership_check(f, d, 0.99, 512)
         assert report.verdict == HOLDS
 
@@ -199,10 +195,10 @@ class TestMembership:
         rng = np.random.default_rng(107)
         for _ in range(5):
             p = random_strip_params(rng)
-            f, _ = extremal_strip(p, 2048)
+            f, _ = extremal(p, 2048)
             assert membership_check(f, p, 0.99, 256).verdict == HOLDS
             d = random_dorff_param(rng)
-            f, _ = extremal_dorff(d, 2048)
+            f, _ = extremal(d, 2048)
             assert membership_check(f, d, 0.99, 256).verdict == HOLDS
 
     def test_koebe_violates_strip(self):
@@ -302,4 +298,20 @@ class TestAuditMember:
         d = DorffParam(2.0)
         g = generate_member(d, SchwarzSpec.power(0.8j, 3), 2048)
         reports = audit_member(g, d, 0.99, 256)
+        assert all(r.verdict != VIOLATED for r in reports)
+
+    def test_min_order(self):
+        # at radius 0.5 the coefficient audit's n_max + 1 = 129 terms bind,
+        # at 0.99 the membership tail, 14/log(1/0.99) = 1392.97
+        assert audit_min_order(0.5) == 129
+        assert audit_min_order(0.5, n_max=0) == 64
+        assert audit_min_order(0.99) == 1393
+        assert audit_min_order(0.99, n_max=2000) == 2001
+        with pytest.raises(ValueError):
+            audit_min_order(1.0)
+
+    def test_rejects_series_below_min_order(self):
+        with pytest.raises(ValueError, match="need 129"):
+            audit_member(generate_member(HALF, SchwarzSpec.identity(), 128), HALF, 0.5, 64)
+        reports = audit_member(generate_member(HALF, SchwarzSpec.identity(), 129), HALF, 0.5, 64)
         assert all(r.verdict != VIOLATED for r in reports)
