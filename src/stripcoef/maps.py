@@ -24,7 +24,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from .polylog import li4_symmetric_circle
 from .series import TruncatedSeries
 
 __all__ = [
@@ -44,6 +43,8 @@ __all__ = [
 # sin(delta) degenerates at delta = pi; pointwise evaluation stays away
 # from the boundary while coefficient formulas (ratios) remain stable.
 _DELTA_EVAL_MARGIN = 1e-6
+# pi - np.pi rounded to a double
+_PI_LOW = 1.2246467991473532e-16
 
 
 @dataclass(frozen=True)
@@ -99,13 +100,12 @@ class StripParams:
         """Sharp upper bound for sum |gamma_n|^2 over the strip class.
 
         (width^2 / 4 pi^2) * (pi^4/45 - [Li_4 at the conjugate pair of
-        circle points with angle 2 pi mu]); strictly positive for every
-        admissible parameter pair.
+        circle points with angle 2 pi mu]), in the closed form
+        pi^2 (1-alpha)^2 (beta-1)^2 / (6 width^2) that the Bernoulli
+        polynomial behind ``polylog.li4_symmetric_circle`` gives without
+        cancellation; strictly positive for every admissible parameter pair.
         """
-        theta = 2.0 * np.pi * self.mu
-        return (self.width**2 / (4.0 * np.pi**2)) * (
-            np.pi**4 / 45.0 - li4_symmetric_circle(theta)
-        )
+        return np.pi**2 / 6.0 * ((1.0 - self.alpha) / self.width * (self.beta - 1.0)) ** 2
 
     def describe(self) -> dict:
         return {"alpha": self.alpha, "beta": self.beta}
@@ -149,11 +149,16 @@ class DorffParam:
         return 0.5 / _check_index(n)
 
     def sum_bound(self) -> float:
-        """Sharp upper bound for sum |gamma_n|^2 over the Dorff class."""
-        theta = np.mod(2.0 * self.delta, 2.0 * np.pi)
-        return (np.pi**4 / 45.0 - li4_symmetric_circle(theta)) / (
-            16.0 * np.sin(self.delta) ** 2
-        )
+        """Sharp upper bound for sum |gamma_n|^2 over the Dorff class.
+
+        (pi^4/45 - [Li_4 at the conjugate pair with angle 2 delta])
+        / (16 sin^2 delta), in the closed form
+        delta^2 (pi - delta)^2 / (24 sin^2 delta); strictly positive for
+        every admissible delta.  pi - delta adds the part of pi that
+        np.pi drops, so the difference keeps its digits as delta nears pi.
+        """
+        pi_minus_delta = (np.pi - self.delta) + _PI_LOW
+        return (self.delta * pi_minus_delta) ** 2 / (24.0 * np.sin(self.delta) ** 2)
 
     def describe(self) -> dict:
         return {"delta": self.delta}

@@ -82,7 +82,8 @@ def polylog(s: int, z: complex, tol: float = 1e-12) -> PolylogResult:
     the circle for smaller s; above 48 the terms n^s can overflow a
     float).  The number of terms is chosen so the reported tail bound
     falls below `tol` whenever that is reachable within the term cap; the
-    bound in the result is always truthful.
+    bound in the result is always truthful.  A real z gives an imaginary
+    part of exactly 0.
     """
     if not isinstance(s, (int, np.integer)) or s < 2:
         raise ValueError("polylog weight s must be an integer >= 2")
@@ -98,7 +99,9 @@ def polylog(s: int, z: complex, tol: float = 1e-12) -> PolylogResult:
         return PolylogResult(0.0 + 0.0j, 0, 0.0)
     m = _terms_needed(s, z, tol)
     n = np.arange(1, m + 1)
-    value = complex(np.sum(np.power(z, n) / n.astype(float) ** s))
+    # a real z sums in float64: complex powers of -1 + 0j pick up phase roundoff
+    base = z.real if z.imag == 0.0 else z
+    value = complex(np.sum(np.power(base, n) / n.astype(float) ** s))
     return PolylogResult(value, m, _tail_bound(s, z, m))
 
 

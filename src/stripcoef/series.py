@@ -273,14 +273,16 @@ def coeffs_by_circle_sampling(
     """Recover Taylor coefficients of an analytic function by circle sampling.
 
     Discrete Fourier extraction: c_k ~ r**(-k) * mean over M samples of
-    eval(r e^{i theta_j}) e^{-ik theta_j}, with M >= 4*(order+1).  `eval_fn`
-    is called once on the whole grid and must return one value per point.
+    eval(r e^{i theta_j}) e^{-ik theta_j}, with M >= 4*(order+1); the
+    default M is the first 5-smooth length from 4*(order+1) on, which
+    numpy's FFT handles fast.  `eval_fn` is called once on the whole grid
+    and must return one value per point.
     This is an oracle for cross-checking closed-form coefficients; accuracy
     degrades gracefully and callers assert their own tolerances.
     """
     if not 0.0 < radius < 1.0:
         raise ValueError("sampling radius must lie in (0, 1)")
-    m = 4 * (order + 1) if samples is None else samples
+    m = _fft_len(4 * (order + 1)) if samples is None else samples
     if m < 4 * (order + 1):
         raise ValueError("need at least 4*(order+1) samples")
     theta = 2.0 * np.pi * np.arange(m) / m

@@ -21,7 +21,7 @@ import numpy as np
 
 from .logcoef import LogCoeffVector, extremal_gammas, log_coefficients
 from .maps import DorffParam, StripParams
-from .series import TruncatedSeries, coeffs_by_circle_sampling
+from .series import TruncatedSeries, _fft_len, coeffs_by_circle_sampling
 
 __all__ = [
     "BoundReport",
@@ -82,12 +82,20 @@ def _report(
     context: dict,
     tolerance: float | None = None,
     equality_applicable: bool = True,
+    reason: str | None = None,
 ) -> BoundReport:
+    """Verdict of lhs <= rhs within the tolerance policy.
+
+    A `reason` forces `violated` and is recorded in the context, as is a
+    non-finite side (every comparison with NaN is false, which would
+    read as holds).
+    """
     tol = _resolve_tol(tail, tolerance)
-    if not (math.isfinite(lhs) and math.isfinite(rhs)):
-        # every comparison with NaN is false, which would read as holds
+    if reason is None and not (math.isfinite(lhs) and math.isfinite(rhs)):
+        reason = "non-finite lhs or rhs"
+    if reason is not None:
         verdict = VIOLATED
-        context = {**context, "reason": "non-finite lhs or rhs"}
+        context = {**context, "reason": reason}
     elif lhs - rhs > tol:
         verdict = VIOLATED
     elif equality_applicable and abs(lhs + 0.5 * tail - rhs) <= tol:
@@ -127,6 +135,48 @@ def sum_gamma_sq(v: LogCoeffVector) -> tuple[float, float]:
     c = v.tail_constant
     tail = (c * c) / (3.0 * v.order**3) if c > 0.0 else 0.0
     return partial, tail
+
+
+# the discrete winding number is the curve's when its phase turns by
+# less than pi between neighbouring samples; steps of at most pi/2 leave
+# a factor 2 for the turn between them (a sampling condition, not a proof)
+_MAX_PHASE_STEP = np.pi / 2.0
+
+
+def _circle_grid(radius: float, angles: int) -> np.ndarray:
+    """The points radius * exp(2 pi i j / angles), j = 0..angles-1."""
+    return radius * np.exp(1j * (2.0 * np.pi * np.arange(angles) / angles))
+
+
+def _winding(values: np.ndarray) -> int | None:
+    steps = np.angle(np.roll(values, -1) / values)
+    if not np.all(np.abs(steps) <= _MAX_PHASE_STEP):
+        return None
+    return round(float(np.sum(steps)) / (2.0 * np.pi))
+
+
+def _zero_count(series: TruncatedSeries, radius: float, values: np.ndarray) -> int | None:
+    """Zeros of `series` inside |z| = radius by the argument principle.
+
+    `values` are the series' values on the circle grid of
+    :meth:`TruncatedSeries.circle_values`.  Their discrete winding number
+    about 0 is accepted when every phase step is at most pi/2; otherwise
+    the series is sampled once more, on a 5-smooth grid of at least
+    max(angles, number of coefficients) points.  None when the steps are
+    still too large.
+    """
+    count = _winding(values)
+    if count is None:
+        m = _fft_len(max(len(values), len(series.coeffs)))
+        count = _winding(series.circle_values(radius, m))
+    return count
+
+
+def _zero_reason(name: str, count: int | None) -> str | None:
+    """The forced-violation reason for a zero count other than 0."""
+    if count is None:
+        return "zero count undersampled"
+    return None if count == 0 else f"zero count {count} for {name} inside the circle"
 
 
 # -- checks ------------------------------------------------------------------
@@ -169,7 +219,9 @@ def membership_check(
 
     Requires order >= ``audit_min_order(radius, n_max=0)``.  The lhs is
     the worst excursion beyond the strip edges (0 when every sample is
-    strictly inside).
+    strictly inside).  A zero of f/z inside the circle (a pole of
+    z f'/f) makes the verdict violated whatever the excursion; the
+    argument principle counts such zeros (:func:`_zero_count`).
     """
     _check_order(f, radius, 0)
     if not f.is_normalized():
@@ -178,6 +230,8 @@ def membership_check(
     f_vals = f.circle_values(radius, angles)
     zfp_vals = f.derivative().shift(1).circle_values(radius, angles)
     re = np.real(zfp_vals / f_vals)
+    f_over_z = TruncatedSeries(f.coeffs[1:])
+    count = _zero_count(f_over_z, radius, f_vals / _circle_grid(radius, angles))
     re_min, re_max = float(np.min(re)), float(np.max(re))
     excursion = max(0.0, lower - re_min, re_max - upper)
     context = {
@@ -190,7 +244,15 @@ def membership_check(
         "upper": upper,
     }
     tail = radius**f.order
-    return _report(excursion, 0.0, tail, context, tolerance, equality_applicable=False)
+    return _report(
+        excursion,
+        0.0,
+        tail,
+        context,
+        tolerance,
+        equality_applicable=False,
+        reason=_zero_reason("f/z", count),
+    )
 
 
 def convexity_probe(
@@ -199,15 +261,18 @@ def convexity_probe(
     angles: int,
     order: int = 2048,
     sample_radius: float | None = None,
-    rings: int = 16,
     tolerance: float | None = None,
 ) -> BoundReport:
-    """Numerical convexity witness: Re(1 + z h''/h') > 0 up to `radius`.
+    """Numerical convexity witness: Re(1 + z h''/h') > 0 on |z| <= `radius`.
 
     `h` is any pointwise-evaluable map with h'(0) != 0, analytic on the
     closed sampling disc; its derivatives come from circle-sampled
-    coefficients.  Raises if h' vanishes at a sample point (the probe
-    quantity is then undefined there).
+    coefficients.  Where h' != 0 the probe quantity is harmonic, so its
+    minimum over the disc lies on the circle |z| = radius, the only ring
+    sampled; the argument principle counts the zeros of h' inside
+    (:func:`_zero_count`), and any makes the verdict violated.  Raises
+    if h' vanishes at a sample point (the probe quantity is then
+    undefined there).
     """
     if not 0.0 < radius < 1.0:
         raise ValueError("radius must lie in (0, 1)")
@@ -220,33 +285,32 @@ def convexity_probe(
     h2 = h1.derivative()
     if abs(h1.coeffs[0]) < 1e-12:
         raise ValueError("probe requires h'(0) != 0")
-    re_min = np.inf
-    worst = None
-    for r in np.linspace(radius / rings, radius, rings):
-        theta = 2.0 * np.pi * np.arange(angles) / angles
-        z = r * np.exp(1j * theta)
-        d1 = h1.circle_values(r, angles)
-        d2 = h2.circle_values(r, angles)
-        small = np.abs(d1) < 1e-12
-        if np.any(small):
-            raise ValueError(f"h' vanishes at sample radius {r}")
-        q = np.real(1.0 + z * d2 / d1)
-        idx = int(np.argmin(q))
-        if q[idx] < re_min:
-            re_min = float(q[idx])
-            worst = complex(z[idx])
+    z = _circle_grid(radius, angles)
+    d1 = h1.circle_values(radius, angles)
+    if np.any(np.abs(d1) < 1e-12):
+        raise ValueError(f"h' vanishes at sample radius {radius}")
+    q = np.real(1.0 + z * h2.circle_values(radius, angles) / d1)
+    idx = int(np.argmin(q))
+    re_min = float(q[idx])
     context = {
         "radius": radius,
         "angles": angles,
         "order": order,
         "sample_radius": sample_radius,
-        "rings": rings,
         "re_min": re_min,
-        "worst_re": worst.real,
-        "worst_im": worst.imag,
+        "worst_re": float(z[idx].real),
+        "worst_im": float(z[idx].imag),
     }
     tail = radius**order
-    return _report(max(0.0, -re_min), 0.0, tail, context, tolerance, equality_applicable=False)
+    return _report(
+        max(0.0, -re_min),
+        0.0,
+        tail,
+        context,
+        tolerance,
+        equality_applicable=False,
+        reason=_zero_reason("h'", _zero_count(h1, radius, d1)),
+    )
 
 
 def reference_constants() -> dict:

@@ -43,6 +43,18 @@ class TestBoundsCommand:
         report = json.loads(proc.stdout)["reports"][0]
         assert abs(report["rhs"] - PI**4 / 384.0) < 1e-12
 
+    def test_dorff_bound_near_pi(self, capsys):
+        # delta^2 (pi - delta)^2 / (24 sin^2 delta) -> pi^2/24 as delta -> pi;
+        # pi^4/45 - Li_4 printed 5.861 here
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            delta = mpmath.mpf(3.14159264)
+            exact = float(delta**2 * (mpmath.pi - delta) ** 2 / (24 * mpmath.sin(delta) ** 2))
+        assert main(["bounds", "--delta", "3.14159264"]) == 0
+        rhs = json.loads(capsys.readouterr().out)["reports"][0]["rhs"]
+        assert abs(rhs - exact) <= 1e-14 * exact
+        assert abs(rhs - PI**2 / 24.0) < 1e-7
+
 
 class TestCoeffsCommand:
     def test_even_gammas_vanish_exactly(self):
@@ -93,16 +105,30 @@ class TestVerifySharpnessCommand:
         )
         assert proc.returncode == 0
 
-    def test_tolerance_is_honoured(self, capsys):
-        # a wide strip: the tail estimate (3.4e-9) is below the rounding of
-        # the bound's cancellation (about 3e-8), so the default 1e-9 misses
-        # equality and a larger tolerance absorbs it
-        argv = ["verify-sharpness", "--alpha=-1e4", "--beta", "2", "--order", "100000"]
+    def test_tolerance_is_honoured(self, monkeypatch, capsys):
+        # a bound raised by 1e-7 sits beyond the tail estimate (6.6e-11 at
+        # order 4096), so the default 1e-9 misses equality and a larger
+        # tolerance absorbs it
+        from stripcoef.maps import StripParams
+
+        exact = StripParams.sum_bound
+        monkeypatch.setattr(StripParams, "sum_bound", lambda self: exact(self) + 1e-7)
+        argv = ["verify-sharpness", "--alpha", "0.5", "--beta", "1.5", "--order", "4096"]
         assert main(argv) == 1
         assert json.loads(capsys.readouterr().out)["reports"][0]["verdict"] == "holds"
         assert main([*argv, "--tolerance", "1e-6"]) == 0
         report = json.loads(capsys.readouterr().out)["reports"][0]
         assert report["verdict"] == "holds-with-equality"
+
+    def test_wide_strip_at_high_order_reaches_equality(self, capsys):
+        # the closed-form bound leaves lhs - rhs = -1.7e-9 against a tail
+        # of 3.4e-9 here; the difference pi^4/45 - Li_4 would cancel to an
+        # error of about 3e-8
+        argv = ["verify-sharpness", "--alpha=-1e4", "--beta", "2", "--order", "100000"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)["reports"][0]
+        assert report["verdict"] == "holds-with-equality"
+        assert abs(report["lhs"] - report["rhs"]) <= report["tail_estimate"]
 
 
 class TestCheckMembershipCommand:
@@ -195,6 +221,12 @@ class TestPolylogCommand:
     def test_missing_argument_is_config_error(self):
         proc = run_cli("polylog")
         assert proc.returncode == 2
+
+    def test_real_argument_prints_real_value(self, capsys):
+        assert main(["polylog", "--s", "2", "--z-re", "-1"]) == 0
+        ctx = json.loads(capsys.readouterr().out)["reports"][0]["context"]
+        assert ctx["series_im"] == 0.0
+        assert abs(ctx["series_re"] + PI**2 / 12.0) <= ctx["tail_bound"] + 1e-15
 
     @pytest.mark.filterwarnings("error")
     def test_weight_and_tolerance_extremes(self, capsys):

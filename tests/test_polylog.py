@@ -119,6 +119,14 @@ class TestPolylogSeries:
         exact = PI**2 / 12.0 - np.log(2.0) ** 2 / 2.0
         assert abs(res.value - exact) < 1e-15
 
+    def test_real_argument_gives_real_value(self):
+        # summed as complex powers of -1 + 0j, the phase of high powers
+        # rounds to imaginary parts of -4.7e-19 (weight 2) and 9.4e-111 (48)
+        for s, z in ((2, -1.0), (48, -1.0), (3, 0.5), (4, complex(-0.25, 0.0))):
+            res = polylog(s, z, tol=5e-324)
+            assert res.value.imag == 0.0
+        assert abs(polylog(2, -1.0, tol=5e-324).value + PI**2 / 12.0) < 1e-12
+
 
 class TestSymmetricCircle:
     def test_theta_zero_doubles_zeta4(self):

@@ -266,6 +266,19 @@ class TestCircleSampling:
             with pytest.raises(ValueError, match="shape"):
                 coeffs_by_circle_sampling(eval_fn, 8, 0.5)
 
+    def test_default_grid_is_5_smooth(self):
+        # 4 * 2049 = 8196 = 2^2 * 3 * 683 would send numpy's FFT to its
+        # prime-length path; the default rounds up to 8640 = 2^6 * 135
+        lengths = []
+
+        def record(z):
+            lengths.append(len(z))
+            return z
+
+        coeffs_by_circle_sampling(record, 2048, 0.9)
+        coeffs_by_circle_sampling(record, 2048, 0.9, samples=8196)
+        assert lengths == [8640, 8196]
+
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
             coeffs_by_circle_sampling(lambda z: z, 8, 1.0)

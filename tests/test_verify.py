@@ -20,7 +20,7 @@ from stripcoef.maps import (
     p_strip_eval,
 )
 from stripcoef.polylog import li4_symmetric_circle
-from stripcoef.series import TruncatedSeries
+from stripcoef.series import TruncatedSeries, coeffs_by_circle_sampling
 from stripcoef.verify import (
     _report,
     EQUALITY,
@@ -32,6 +32,7 @@ from stripcoef.verify import (
     membership_check,
     reference_constants,
     rogosinski_check,
+    sharpness,
     sharpness_dorff,
     sharpness_strip,
     sum_gamma_sq,
@@ -90,6 +91,57 @@ class TestBounds:
         for _ in range(50):
             assert random_strip_params(rng).sum_bound() > 0.0
             assert random_dorff_param(rng).sum_bound() > 0.0
+
+    def test_closed_forms_against_mpmath_li4(self):
+        # the paper's statement, (pi^4/45 - 2 Re Li_4(e^{i theta})) scaled,
+        # at 40 digits; its cancellation costs at most 16 of them here
+        mpmath = pytest.importorskip("mpmath")
+
+        def deficit(theta):
+            return mpmath.pi**4 / 45 - 2 * mpmath.re(mpmath.polylog(4, mpmath.expj(theta)))
+
+        with mpmath.workdps(40):
+            for a in (-1e8, -1e4, -10.0, -1.0, 0.0, 0.5, 0.9):
+                for b in (1.001, 1.1, 1.25, 1.5, 2.0, 4.0, 1e3, 1e6):
+                    lo, hi = mpmath.mpf(a), mpmath.mpf(b)
+                    theta = 2 * mpmath.pi * (1 - lo) / (hi - lo)
+                    exact = (hi - lo) ** 2 / (4 * mpmath.pi**2) * deficit(theta)
+                    got = StripParams(a, b).sum_bound()
+                    assert abs(got - exact) <= 1e-14 * exact, (a, b)
+            deltas = [*np.linspace(PI / 2.0, PI - 1e-3, 12), PI - 1e-6, PI - 1e-8]
+            for delta in deltas:
+                d = mpmath.mpf(delta)
+                exact = deficit(2 * d) / (16 * mpmath.sin(d) ** 2)
+                got = DorffParam(delta).sum_bound()
+                assert abs(got - exact) <= 1e-14 * exact, delta
+
+    def test_closed_forms_match_li4_symmetric_circle(self):
+        # li4_symmetric_circle is the oracle tying the closed forms to the
+        # Li_4 statement; away from theta = 0, 2 pi nothing cancels
+        for theta in np.linspace(0.05, 2.0 * PI - 0.05, 61):
+            mu = theta / (2.0 * PI)
+            p = StripParams(1.0 - mu, 2.0 - mu)
+            circle = (PI**4 / 45.0 - li4_symmetric_circle(2.0 * PI * p.mu)) / (4.0 * PI**2)
+            assert abs(p.sum_bound() - circle) < 1e-14
+        for delta in np.linspace(PI / 2.0, PI - 0.05, 31):
+            d = DorffParam(delta)
+            circle = (PI**4 / 45.0 - li4_symmetric_circle(2.0 * delta)) / (16.0 * np.sin(delta) ** 2)
+            assert abs(d.sum_bound() - circle) < 1e-12
+
+    def test_positive_and_sharp_on_extreme_sweep(self):
+        # 1 - alpha log-spaced from 0.1 to 1e15 + 1, and delta up to the
+        # last double below pi
+        alphas = 1.0 - np.logspace(-1.0, np.log10(1e15 + 1.0), 140)
+        targets = [
+            StripParams(a, b)
+            for a in alphas
+            for b in (1.001, 1.1, 1.5, 2.0, 4.0, 1e3, 1e6)
+        ]
+        deltas = PI - np.logspace(np.log10(PI / 2.0), -15.0, 90)
+        targets += [DorffParam(d) for d in (*deltas, np.nextafter(PI, 0.0))]
+        for t in targets:
+            assert t.sum_bound() > 0.0, t
+            assert sharpness(t).verdict == EQUALITY, t
 
 
 class TestPerNBounds:
@@ -207,6 +259,27 @@ class TestMembership:
         assert report.verdict == VIOLATED
         assert report.lhs > 1.0
 
+    def test_zero_inside_violates(self):
+        # f = z - 100 z^2 vanishes at z = 0.01: z f'/f has a pole there,
+        # although Re z f'/f stays in [1.98, 2.02] on both circles
+        for radius in (0.99, 0.5):
+            coeffs = np.zeros(audit_min_order(radius, n_max=0) + 1)
+            coeffs[1:3] = 1.0, -100.0
+            report = membership_check(TruncatedSeries(coeffs), StripParams(0.0, 2.1), radius, 256)
+            assert report.verdict == VIOLATED
+            assert report.lhs == 0.0
+            assert report.context["reason"] == "zero count 1 for f/z inside the circle"
+
+    def test_undersampled_zero_count_violates(self):
+        # f/z = 1 + 1e8 z^21 turns its phase by 21 * 2 pi / 64 between
+        # neighbouring points of the 64-point grid, and the refined grid
+        # is again 64 points (64 coefficients)
+        coeffs = np.zeros(65)
+        coeffs[1], coeffs[22] = 1.0, 1e8
+        report = membership_check(TruncatedSeries(coeffs), HALF, 0.5, 64)
+        assert report.verdict == VIOLATED
+        assert report.context["reason"] == "zero count undersampled"
+
     def test_rejects_insufficient_order_for_radius(self):
         f = TruncatedSeries.identity(256)
         with pytest.raises(ValueError):
@@ -239,7 +312,42 @@ class TestConvexityProbe:
     def test_negative_control(self):
         report = convexity_probe(lambda z: z + 2.0 * z * z, 0.9, 128, order=64)
         assert report.verdict == VIOLATED
-        assert report.context["re_min"] < 0.0
+        assert report.context["reason"].startswith("zero count 1 ")
+
+    def test_zero_of_derivative_inside_violates(self):
+        # h' = 1 + 4z vanishes at -1/4, although the ring |z| = 0.9 alone
+        # reads Re(1 + z h''/h') >= 1.78
+        report = convexity_probe(lambda z: z + 2.0 * z * z, 0.9, 256, order=64)
+        assert report.verdict == VIOLATED
+        assert report.context["re_min"] > 1.7
+        assert report.lhs == 0.0
+        assert report.context["reason"] == "zero count 1 for h' inside the circle"
+
+    def test_one_ring_is_the_disc_minimum(self):
+        # minimum principle: Re(1 + z h''/h') is harmonic where h' != 0, so
+        # the ring at the radius holds the minimum of 16 rings up to it
+        rng = np.random.default_rng(7)
+        radius, angles, order = 0.99, 256, 2048
+        for _ in range(2):
+            p, d = random_strip_params(rng), random_dorff_param(rng)
+            for h in (
+                lambda z: p_strip_eval(p, z),
+                lambda z: p_hat_eval(p, z),
+                lambda z: dorff_eval(d, z),
+                lambda z: b_tilde_eval(d, z),
+            ):
+                report = convexity_probe(h, radius, angles, order=order)
+                h1 = coeffs_by_circle_sampling(h, order, (1.0 + radius) / 2.0).derivative()
+                h2 = h1.derivative()
+                z = np.exp(2j * PI * np.arange(angles) / angles)
+                rings = min(
+                    float(np.min(np.real(
+                        1.0 + r * z * h2.circle_values(r, angles) / h1.circle_values(r, angles)
+                    )))
+                    for r in np.linspace(radius / 16, radius, 16)
+                )
+                assert report.verdict == HOLDS
+                assert abs(report.context["re_min"] - rings) < 1e-9
 
     def test_flags_vanishing_derivative(self):
         with pytest.raises(ValueError):
