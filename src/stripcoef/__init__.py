@@ -11,7 +11,6 @@ inequality numerically at desk scale.
 __version__ = "0.1.0"
 
 from .logcoef import (
-    LogCoeffVector,
     SchwarzSpec,
     extremal,
     generate_member,
@@ -35,7 +34,6 @@ from .polylog import PolylogResult, li4_quadrature, li4_symmetric_circle, polylo
 from .series import (
     TruncatedSeries,
     coeffs_by_circle_sampling,
-    compose_schwarz,
     log_normalized,
     series_exp,
 )
@@ -51,6 +49,7 @@ from .verify import (
     sharpness_dorff,
     sharpness_strip,
     sum_gamma_sq,
+    sum_tail,
 )
 
 __all__ = [
@@ -58,7 +57,6 @@ __all__ = [
     "TruncatedSeries",
     "series_exp",
     "log_normalized",
-    "compose_schwarz",
     "coeffs_by_circle_sampling",
     "PolylogResult",
     "polylog",
@@ -72,7 +70,6 @@ __all__ = [
     "dorff_eval",
     "a_dorff_coeff",
     "b_tilde_eval",
-    "LogCoeffVector",
     "SchwarzSpec",
     "log_coefficients",
     "extremal",
@@ -83,6 +80,7 @@ __all__ = [
     "random_schwarz_spec",
     "BoundReport",
     "sum_gamma_sq",
+    "sum_tail",
     "rogosinski_check",
     "membership_check",
     "convexity_probe",

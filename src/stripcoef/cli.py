@@ -192,12 +192,12 @@ def _cmd_bounds(config: RunConfig) -> tuple[list[BoundReport], int]:
 
 def _cmd_coeffs(config: RunConfig) -> tuple[list[BoundReport], int]:
     target = config.target()
-    vec = extremal_gammas(target, config.order)
+    gammas = extremal_gammas(target, config.order)
     # per_n_bound(n), not audit_member's per_n_bound(1) / n: see there
     bounds = target.per_n_bound(np.arange(1, config.order + 1))
     reports = []
     for n in range(1, config.order + 1):
-        g = vec.gamma(n)
+        g = complex(gammas[n - 1])
         lhs, rhs = abs(g), float(bounds[n - 1])
         context = {
             "n": n,

@@ -20,7 +20,6 @@ from .maps import DorffParam, StripParams, hat_series
 from .series import TruncatedSeries, log_normalized, series_exp
 
 __all__ = [
-    "LogCoeffVector",
     "SchwarzSpec",
     "log_coefficients",
     "extremal",
@@ -35,38 +34,6 @@ __all__ = [
 SCALED_ROTATION = "scaled-rotation"
 POWER = "power"
 BLASCHKE = "blaschke-factor"
-
-
-@dataclass(frozen=True)
-class LogCoeffVector:
-    """gamma_1..gamma_N plus truncation-tail metadata.
-
-    ``tail_constant`` is a C >= 0 with |gamma_n| <= C / n**2 guaranteed
-    for all n > order; 0 means no such bound is known (e.g. the Koebe
-    function, whose gamma_n decay only like 1/n).
-    """
-
-    gammas: np.ndarray
-    tail_constant: float = 0.0
-
-    def __post_init__(self) -> None:
-        g = np.array(self.gammas, dtype=complex)
-        if g.ndim != 1 or g.size == 0:
-            raise ValueError("gammas must be a nonempty 1-D sequence")
-        if self.tail_constant < 0.0:
-            raise ValueError("tail_constant must be nonnegative")
-        g.setflags(write=False)
-        object.__setattr__(self, "gammas", g)
-
-    @property
-    def order(self) -> int:
-        return len(self.gammas)
-
-    def gamma(self, n: int) -> complex:
-        """gamma_n for 1 <= n <= order."""
-        if not 1 <= n <= self.order:
-            raise IndexError(f"gamma index {n} outside 1..{self.order}")
-        return complex(self.gammas[n - 1])
 
 
 @dataclass(frozen=True)
@@ -116,25 +83,6 @@ class SchwarzSpec:
     def identity(cls) -> SchwarzSpec:
         return cls(SCALED_ROTATION, c=1.0)
 
-    def series(self, order: int) -> TruncatedSeries:
-        """Taylor coefficients of omega up to `order`."""
-        w = np.zeros(order + 1, dtype=complex)
-        if self.kind == SCALED_ROTATION:
-            if order >= 1:
-                w[1] = self.c
-        elif self.kind == POWER:
-            if order >= self.k:
-                w[self.k] = self.c
-        else:
-            rot = np.exp(1j * self.phi)
-            abar = np.conj(self.a)
-            n = np.arange(1, order + 1)
-            w[1:] = self.a * (-abar) ** (n - 1)
-            if order >= 2:
-                w[2:] += (-abar) ** (n[1:] - 2)
-            w[1:] *= rot
-        return TruncatedSeries(w)
-
     def describe(self) -> dict:
         """JSON-friendly parameter record."""
         out = {"kind": self.kind}
@@ -148,14 +96,10 @@ class SchwarzSpec:
         return out
 
 
-def log_coefficients(f: TruncatedSeries) -> LogCoeffVector:
-    """Extract gamma_1..gamma_{order-1} of a normalized series.
-
-    gamma_n is half the n-th coefficient of the formal log(f/z); no tail
-    information is attached (tail_constant = 0).
-    """
-    ell = log_normalized(f)
-    return LogCoeffVector(ell.coeffs[1:] / 2.0)
+def log_coefficients(f: TruncatedSeries) -> np.ndarray:
+    """gamma_1..gamma_{order-1} of a normalized series, at index n - 1:
+    half the coefficients of the formal log(f/z)."""
+    return log_normalized(f).coeffs[1:] / 2.0
 
 
 def _assemble_member(q_minus_1: np.ndarray) -> TruncatedSeries:
@@ -165,32 +109,26 @@ def _assemble_member(q_minus_1: np.ndarray) -> TruncatedSeries:
     return series_exp(t).shift(1)
 
 
-def extremal_gammas(target, order: int) -> LogCoeffVector:
-    """Closed-form gammas of the target's extremal function, without its series.
-
-    gamma_n is half the integrated-map coefficient; |gamma_n| <= C/n**2
-    beyond `order` with C the target's tail constant.
-    """
+def extremal_gammas(target, order: int) -> np.ndarray:
+    """Closed-form gamma_1..gamma_order of the target's extremal function,
+    without its series: half the integrated-map coefficients."""
     if order < 2:
         raise ValueError("order must be at least 2")
-    gammas = target.hat_coeff(np.arange(1, order + 1)) / 2.0
-    return LogCoeffVector(gammas, tail_constant=target.tail_constant)
+    return target.hat_coeff(np.arange(1, order + 1)) / 2.0
 
 
-def extremal(target, order: int) -> tuple[TruncatedSeries, LogCoeffVector]:
+def extremal(target, order: int) -> tuple[TruncatedSeries, np.ndarray]:
     """Extremal function z * exp(integrated target map), so z f'/f is the
     target map itself, and its closed-form gammas."""
-    vec = extremal_gammas(target, order)
-    return series_exp(hat_series(target, order - 1)).shift(1), vec
+    gammas = extremal_gammas(target, order)
+    return series_exp(hat_series(target, order - 1)).shift(1), gammas
 
 
-def koebe_rotation(
-    eps: complex, order: int
-) -> tuple[TruncatedSeries, LogCoeffVector]:
+def koebe_rotation(eps: complex, order: int) -> tuple[TruncatedSeries, np.ndarray]:
     """Rotated Koebe function z/(1 - eps z)^2 for |eps| = 1.
 
-    Coefficient n is n * eps**(n-1); gamma_n = eps**n / n.  The gammas
-    decay like 1/n, so no quadratic tail constant applies (0 = unknown).
+    Coefficient n is n * eps**(n-1); gamma_n = eps**n / n, decaying only
+    like 1/n.
     """
     eps = complex(eps)
     if abs(abs(eps) - 1.0) > 1e-12:
@@ -201,7 +139,7 @@ def koebe_rotation(
     coeffs = np.zeros(order + 1, dtype=complex)
     coeffs[1:] = n * eps ** (n - 1)
     gammas = eps**n / n
-    return TruncatedSeries(coeffs), LogCoeffVector(gammas)
+    return TruncatedSeries(coeffs), gammas
 
 
 def _log_one_minus(lam: complex, w: SchwarzSpec, order: int) -> np.ndarray:

@@ -19,7 +19,6 @@ ever needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -32,12 +31,10 @@ __all__ = [
     "p_strip_eval",
     "b_strip_coeff",
     "p_hat_eval",
-    "p_strip_series",
     "hat_series",
     "dorff_eval",
     "a_dorff_coeff",
     "b_tilde_eval",
-    "dorff_series",
 ]
 
 # sin(delta) degenerates at delta = pi; pointwise evaluation stays away
@@ -83,10 +80,18 @@ class StripParams:
         """C with |gamma_n| <= C/n**2 for the extremal gammas."""
         return self.width / np.pi
 
+    def _phase(self) -> tuple[float, float]:
+        """(s, t) with e^{2 pi i mu} = e^{2 pi i s t}: (1, mu) up to
+        mu = 1/2, else (-1, nu) with nu = 1 - mu formed from the edges,
+        whose digits a rounded mu near 1 has lost."""
+        if self.mu <= 0.5:
+            return 1.0, self.mu
+        return -1.0, (self.beta - 1.0) / self.width
+
     def factors(self) -> tuple[complex, complex, complex]:
         """(kappa, lam1, lam2): the map minus its center equals
         kappa * [log(1 - lam1 w) - log(1 - lam2 w)]."""
-        return (self.width / np.pi) * 1j, np.exp(2j * np.pi * self.mu), 1.0 + 0.0j
+        return (self.width / np.pi) * 1j, _strip_phase(self, 1), 1.0 + 0.0j
 
     def hat_coeff(self, n):
         """Coefficient n of the integrated strip map: b_strip_coeff / n."""
@@ -94,7 +99,7 @@ class StripParams:
 
     def per_n_bound(self, n):
         """|gamma_n| <= (width/(n pi)) |sin(pi mu)|, i.e. |B_1|/(2n)."""
-        return (self.width / (_check_index(n) * np.pi)) * abs(np.sin(np.pi * self.mu))
+        return (self.width / (_check_index(n) * np.pi)) * abs(np.sin(np.pi * self._phase()[1]))
 
     def sum_bound(self) -> float:
         """Sharp upper bound for sum |gamma_n|^2 over the strip class.
@@ -123,9 +128,15 @@ class DorffParam:
             raise ValueError("delta must lie in [pi/2, pi)")
 
     @property
+    def _pi_minus_delta(self) -> float:
+        """pi - delta with the part of pi that np.pi drops added back, so
+        the difference keeps its digits as delta nears pi."""
+        return (np.pi - self.delta) + _PI_LOW
+
+    @property
     def lower(self) -> float:
         """Lower edge of Re zf'/f for the associated class."""
-        return 1.0 + (self.delta - np.pi) / (2.0 * np.sin(self.delta))
+        return 1.0 - self._pi_minus_delta / (2.0 * np.sin(self.delta))
 
     @property
     def upper(self) -> float:
@@ -154,11 +165,9 @@ class DorffParam:
         (pi^4/45 - [Li_4 at the conjugate pair with angle 2 delta])
         / (16 sin^2 delta), in the closed form
         delta^2 (pi - delta)^2 / (24 sin^2 delta); strictly positive for
-        every admissible delta.  pi - delta adds the part of pi that
-        np.pi drops, so the difference keeps its digits as delta nears pi.
+        every admissible delta.
         """
-        pi_minus_delta = (np.pi - self.delta) + _PI_LOW
-        return (self.delta * pi_minus_delta) ** 2 / (24.0 * np.sin(self.delta) ** 2)
+        return (self.delta * self._pi_minus_delta) ** 2 / (24.0 * np.sin(self.delta) ** 2)
 
     def describe(self) -> dict:
         return {"delta": self.delta}
@@ -181,7 +190,8 @@ def _check_disc(z) -> np.ndarray:
 def _strip_phase(p: StripParams, n) -> np.ndarray:
     # e^{2 pi i n mu} with the exponent reduced mod 1, so integer n*mu
     # (even indices at mu = 1/2, say) yields an exact zero in 1 - phase
-    return np.exp(2j * np.pi * np.mod(n * p.mu, 1.0))
+    s, t = p._phase()
+    return np.exp(s * 2j * np.pi * np.mod(n * t, 1.0))
 
 
 def p_strip_eval(p: StripParams, z):
@@ -255,21 +265,11 @@ def p_hat_eval(p: StripParams, z):
     return complex(val) if val.ndim == 0 else val
 
 
-def _series(c0: complex, coeff, order: int) -> TruncatedSeries:
-    """c0 + sum_{n=1..order} coeff(n) z**n."""
-    c = np.full(order + 1, c0, dtype=complex)
-    c[1:] = coeff(np.arange(1, order + 1))
-    return TruncatedSeries(c)
-
-
-def p_strip_series(p: StripParams, order: int) -> TruncatedSeries:
-    """Truncated Taylor series of the strip map (constant term 1)."""
-    return _series(1.0, partial(b_strip_coeff, p), order)
-
-
 def hat_series(target, order: int) -> TruncatedSeries:
     """Truncated Taylor series of the integrated target map (vanishes at 0)."""
-    return _series(0.0, target.hat_coeff, order)
+    c = np.zeros(order + 1, dtype=complex)
+    c[1:] = target.hat_coeff(np.arange(1, order + 1))
+    return TruncatedSeries(c)
 
 
 def dorff_eval(d: DorffParam, z):
@@ -291,11 +291,13 @@ def dorff_eval(d: DorffParam, z):
 def a_dorff_coeff(d: DorffParam, n):
     """Taylor coefficient n >= 1 of the Dorff map: (-1)^(n-1) sin(n delta)/(n sin delta).
 
-    The sine ratio is formed directly, never as (1/sin delta) * sin(n delta),
-    limiting cancellation near delta = pi.  A_1 = 1 for every delta.
+    With eps = pi - delta this is sin(n eps)/(n sin eps): the rounded
+    product n * delta near n pi would keep no digits of the sine, n * eps
+    keeps them all.  A_1 = 1 for every delta.
     """
     n = _check_index(n)
-    val = (-1.0) ** (n - 1) * np.sin(n * d.delta) / (n * np.sin(d.delta))
+    eps = d._pi_minus_delta
+    val = np.sin(n * eps) / (n * np.sin(eps))
     return float(val) if val.ndim == 0 else val
 
 
@@ -307,8 +309,3 @@ def b_tilde_eval(d: DorffParam, z):
     phase = np.exp(1j * d.delta)
     val = (_li2(-z / phase) - _li2(-z * phase)) / (2j * np.sin(d.delta))
     return complex(val) if val.ndim == 0 else val
-
-
-def dorff_series(d: DorffParam, order: int) -> TruncatedSeries:
-    """Truncated Taylor series of the Dorff map (vanishes at 0)."""
-    return _series(0.0, partial(a_dorff_coeff, d), order)

@@ -6,9 +6,6 @@ analytic function on the unit disc, truncated at a declared order ``N``
 exponential and logarithm are computed by coefficient recurrences (the
 exponential by Newton iteration at high order), never pointwise, so no
 branch of ``log`` is ever chosen inside the engine.
-
-Composition truncates to the smaller order of its two operands;
-coefficients beyond the common order are unknown, not zero.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ __all__ = [
     "TruncatedSeries",
     "series_exp",
     "log_normalized",
-    "compose_schwarz",
     "coeffs_by_circle_sampling",
 ]
 
@@ -57,15 +53,6 @@ class TruncatedSeries:
     def order(self) -> int:
         """Highest retained power of z."""
         return len(self.coeffs) - 1
-
-    @classmethod
-    def identity(cls, order: int) -> TruncatedSeries:
-        """The series of f(z) = z."""
-        c = np.zeros(order + 1, dtype=complex)
-        if order < 1:
-            raise ValueError("identity needs order >= 1")
-        c[1] = 1.0
-        return cls(c)
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(order={self.order}, coeffs={self.coeffs!r})"
@@ -105,16 +92,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.coeffs[: order + 1])
 
     # -- evaluation --------------------------------------------------------
-
-    def evaluate(self, z):
-        """Horner evaluation at a point or ndarray of points (test oracle;
-        the checks use :meth:`circle_values`)."""
-        result = np.full_like(np.asarray(z, dtype=complex), self.coeffs[-1])
-        for c in self.coeffs[-2::-1]:
-            result = result * z + c
-        if np.ndim(z) == 0:
-            return complex(result)
-        return result
 
     def circle_values(self, radius: float, angles: int) -> np.ndarray:
         """Values at radius * exp(2 pi i j / angles), j = 0..angles-1.
@@ -244,26 +221,6 @@ def log_normalized(f: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(_log_one(f.coeffs[1:]))
 
 
-def compose_schwarz(h: TruncatedSeries, w: TruncatedSeries) -> TruncatedSeries:
-    """Taylor coefficients of h(w(z)) for a Schwarz-type inner series
-    (test oracle; ``generate_member`` composes in closed form).
-
-    Requires w_0 = 0 (composition is then well defined order by order).
-    Horner evaluation over truncated series; result order is the smaller
-    of the two operand orders.
-    """
-    if abs(w.coeffs[0]) > _NORMALIZED_TOL:
-        raise ValueError("compose_schwarz requires w(0) = 0")
-    n = min(h.order, w.order)
-    wc = w.coeffs[: n + 1]
-    acc = np.zeros(n + 1, dtype=complex)
-    acc[0] = h.coeffs[n]
-    for c in h.coeffs[:n][::-1]:
-        acc = np.convolve(acc, wc)[: n + 1]
-        acc[0] += c
-    return TruncatedSeries(acc)
-
-
 def coeffs_by_circle_sampling(
     eval_fn: Callable,
     order: int,
@@ -276,9 +233,11 @@ def coeffs_by_circle_sampling(
     eval(r e^{i theta_j}) e^{-ik theta_j}, with M >= 4*(order+1); the
     default M is the first 5-smooth length from 4*(order+1) on, which
     numpy's FFT handles fast.  `eval_fn` is called once on the whole grid
-    and must return one value per point.
-    This is an oracle for cross-checking closed-form coefficients; accuracy
-    degrades gracefully and callers assert their own tolerances.
+    and must return one value per point.  ``convexity_probe`` takes its
+    derivatives from these coefficients; the tests also cross-check the
+    closed-form coefficients against them.  Rounding in the sampled
+    values is amplified by r**(-k) at index k; callers assert their own
+    tolerances.
     """
     if not 0.0 < radius < 1.0:
         raise ValueError("sampling radius must lie in (0, 1)")

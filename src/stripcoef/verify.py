@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .logcoef import LogCoeffVector, extremal_gammas, log_coefficients
+from .logcoef import extremal_gammas, log_coefficients
 from .maps import DorffParam, StripParams
 from .series import TruncatedSeries, _fft_len, coeffs_by_circle_sampling
 
@@ -27,6 +27,7 @@ __all__ = [
     "BoundReport",
     "audit_min_order",
     "sum_gamma_sq",
+    "sum_tail",
     "rogosinski_check",
     "membership_check",
     "convexity_probe",
@@ -125,16 +126,25 @@ def _check_order(f: TruncatedSeries, radius: float, n_max: int) -> None:
         raise ValueError(f"series order {f.order} too small for radius {radius}: need {need}")
 
 
-def sum_gamma_sq(v: LogCoeffVector) -> tuple[float, float]:
-    """(partial sum of |gamma_n|^2, tail estimate).
+def sum_gamma_sq(gammas) -> float:
+    """The partial sum of |gamma_n|^2."""
+    return float(np.sum(np.abs(gammas) ** 2))
 
-    The tail estimate is C^2/(3 N^3) from the vector's quadratic decay
-    constant, or 0 when no tail bound is known.
+
+def sum_tail(target, order: int) -> float:
+    """Upper bound on sum_{n > order} |gamma_n|^2 for the target's extremal gammas.
+
+    |gamma_n| <= min(C/n^2, B/n) with C = ``target.tail_constant`` and
+    B = ``target.per_n_bound(1)``; B/n is the smaller below n = C/B.  The
+    integral test bounds the sum: C^2/(3 N^3) when C/B <= N, else
+    B^2 (1/N - 1/k) + C^2/(3 k^3) with k = floor(C/B).
     """
-    partial = float(np.sum(np.abs(v.gammas) ** 2))
-    c = v.tail_constant
-    tail = (c * c) / (3.0 * v.order**3) if c > 0.0 else 0.0
-    return partial, tail
+    c = target.tail_constant
+    b = target.per_n_bound(1)
+    if c <= b * order:
+        return (c * c) / (3.0 * order**3)
+    k = np.floor(c / b)
+    return b * b * (1.0 / order - 1.0 / k) + (c / k) ** 2 / (3.0 * k)
 
 
 # the discrete winding number is the curve's when its phase turns by
@@ -328,11 +338,12 @@ def sharpness(target, order: int = 4096, tolerance: float | None = None) -> Boun
     """Sharpness of the target's sum bound on its extremal function.
 
     Sums the closed-form |gamma_n|^2 to `order` and compares against
-    ``target.sum_bound()`` within max(tail estimate, `tolerance`), the
+    ``target.sum_bound()`` within max(:func:`sum_tail`, `tolerance`), the
     tolerance defaulting to 1e-9; the verdict must be holds-with-equality
     for every admissible parameter.
     """
-    partial, tail = sum_gamma_sq(extremal_gammas(target, order))
+    partial = sum_gamma_sq(extremal_gammas(target, order))
+    tail = sum_tail(target, order)
     context = {**target.describe(), "order": order}
     tol = max(tail, TOLERANCE_FLOOR if tolerance is None else tolerance)
     return _report(partial, target.sum_bound(), tail, context, tol)
@@ -372,7 +383,7 @@ def audit_member(
     series order must reach ``audit_min_order(radius, n_max)``.
     """
     _check_order(f, radius, n_max)
-    gam = log_coefficients(f.truncate(n_max + 1)).gammas
+    gam = log_coefficients(f.truncate(n_max + 1))
     n = np.arange(1, n_max + 1)
     dom = target.hat_coeff(np.arange(1, k_max + 1))
     # per_n_bound(1) / n rounds differently from per_n_bound(n) (the coeffs
@@ -398,10 +409,9 @@ def audit_member(
     )
     reports.append(per_n)
 
-    partial = float(np.sum(np.abs(gam) ** 2))
     reports.append(
         _report(
-            partial,
+            sum_gamma_sq(gam),
             total,
             0.0,
             {"n_max": n_max, "kind": "sum-vs-bound"},

@@ -28,10 +28,8 @@ from stripcoef.maps import (
     b_strip_coeff,
     b_tilde_eval,
     dorff_eval,
-    dorff_series,
     p_hat_eval,
     p_strip_eval,
-    p_strip_series,
 )
 from stripcoef.polylog import li4_quadrature, li4_symmetric_circle, polylog
 from stripcoef.series import TruncatedSeries, coeffs_by_circle_sampling, log_normalized, series_exp
@@ -43,6 +41,7 @@ from stripcoef.verify import (
     sharpness_dorff,
     sharpness_strip,
     sum_gamma_sq,
+    sum_tail,
 )
 
 PI = np.pi
@@ -59,8 +58,8 @@ def test_criterion_1_strip_sharpness_analytic_point():
     start = time.perf_counter()
     p = StripParams(0.5, 1.5)
     rhs = p.sum_bound()
-    _, vec = extremal(p, 4096)
-    partial, _ = sum_gamma_sq(vec)
+    _, gammas = extremal(p, 4096)
+    partial = sum_gamma_sq(gammas)
     tail = p.width**2 / (3.0 * PI**2 * 4096**3)
     elapsed = time.perf_counter() - start
     exact = abs(rhs - PI**2 / 96.0)
@@ -78,8 +77,8 @@ def test_criterion_2_dorff_sharpness_analytic_point():
     start = time.perf_counter()
     d = DorffParam(PI / 2.0)
     rhs = d.sum_bound()
-    _, vec = extremal(d, 4096)
-    partial, tail = sum_gamma_sq(vec)
+    _, gammas = extremal(d, 4096)
+    partial, tail = sum_gamma_sq(gammas), sum_tail(d, 4096)
     elapsed = time.perf_counter() - start
     exact = abs(rhs - PI**4 / 384.0)
     gap = abs(partial - rhs)
@@ -119,8 +118,8 @@ def test_criterion_3_polylog_oracle_triangle():
 
 
 def test_criterion_4_koebe_reference():
-    _, vec = koebe_rotation(1.0, 4096)
-    partial, _ = sum_gamma_sq(vec)
+    _, gammas = koebe_rotation(1.0, 4096)
+    partial = sum_gamma_sq(gammas)
     # gamma_n = 1/n decays too slowly for the quadratic tail model, so the
     # remainder sum_{n>4096} 1/n^2 enters exactly via the Hurwitz zeta
     total = partial + zeta(2, 4097)

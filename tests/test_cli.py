@@ -80,6 +80,23 @@ class TestCoeffsCommand:
         # 17 significant digits: parse-back equals the binary value
         assert float(rows[1]["rhs"]) == 0.25
 
+    @pytest.mark.parametrize(
+        "target, order",
+        [
+            # sin(n delta) from the rounded n * delta kept no digits near pi:
+            # 2006 of the 4096 reports were violated
+            (["--delta", "3.141592653589"], "4096"),
+            # mu rounded to 1 - 1e-14 put one |gamma_n| 2.6e-6 over its bound
+            (["--alpha=-1e11", "--beta", "1.001"], "64"),
+        ],
+        ids=["dorff-near-pi", "strip-mu-near-one"],
+    )
+    def test_no_violation_near_the_class_edges(self, target, order, capsys):
+        assert main(["coeffs", *target, "--order", order]) == 0
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert len(reports) == int(order)
+        assert all(r["verdict"] == "holds" for r in reports)
+
     def test_builds_no_extremal_series(self, monkeypatch, capsys):
         def no_series(_):
             raise AssertionError("coeffs needs only the closed-form gammas")
@@ -344,8 +361,8 @@ class TestExitCodeContract:
         assert _exit_code([ok, bad]) == 1
 
     def test_internal_error_has_its_own_code(self, capsys):
-        # the bound formula overflows for this strip width
-        assert main(["verify-sharpness", "--alpha=-1e300", "--beta", "2"]) == 3
+        # the truncation tail C^2/(3 N^3) overflows for this strip width
+        assert main(["verify-sharpness", "--alpha=-1e152", "--beta", "6e154"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert json.loads(err)["kind"] == "internal"

@@ -11,13 +11,13 @@ from stripcoef.maps import (
     b_strip_coeff,
     b_tilde_eval,
     dorff_eval,
-    dorff_series,
     hat_series,
     p_hat_eval,
     p_strip_eval,
-    p_strip_series,
 )
 from stripcoef.series import coeffs_by_circle_sampling
+
+from oracles import dorff_series, evaluate, p_strip_series
 
 PI = np.pi
 HALF = StripParams(0.5, 1.5)  # mu = 1/2
@@ -104,7 +104,7 @@ class TestStripMap:
     def test_value_at_half_consistent_with_coefficients(self):
         # mid-disc value within the coefficient-series tail envelope
         got = p_strip_eval(HALF, 0.5)
-        series = p_strip_series(HALF, 256).evaluate(0.5)
+        series = evaluate(p_strip_series(HALF, 256), 0.5)
         assert abs(got - series) < 1e-15
         assert 0.5 < got.real < 1.5
 
@@ -132,7 +132,7 @@ class TestIntegratedStripMap:
         s = hat_series(HALF, 512)
         for _ in range(10):
             z = 0.5 * np.sqrt(rng.uniform()) * np.exp(2j * PI * rng.uniform())
-            assert abs(p_hat_eval(HALF, z) - s.evaluate(z)) < 1e-12
+            assert abs(p_hat_eval(HALF, z) - evaluate(s, z)) < 1e-12
 
     def test_series_is_integral_of_map_series(self):
         lhs = hat_series(HALF, 64)
@@ -158,6 +158,15 @@ class TestDorffMap:
             dorff_eval(d, 0.5)
         # the coefficient formula keeps working there
         assert a_dorff_coeff(d, 1) == 1.0
+
+    def test_lower_edge_near_pi_against_mpmath(self):
+        # 1 + (delta - np.pi)/(2 sin delta) was 0.608 at the last double below pi
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for delta in (3.0, 3.141592653589, np.nextafter(PI, 0.0)):
+                x = mpmath.mpf(delta)
+                exact = float(1 + (x - mpmath.pi) / (2 * mpmath.sin(x)))
+                assert abs(DorffParam(delta).lower - exact) <= 1e-15 * abs(exact), delta
 
     def test_first_coefficient_is_one_for_all_delta(self):
         for delta in np.linspace(PI / 2.0, PI - 1e-3, 20):
@@ -211,7 +220,7 @@ class TestIntegratedDorffMap:
         s = hat_series(d, 512)
         for _ in range(10):
             z = 0.5 * np.sqrt(rng.uniform()) * np.exp(2j * PI * rng.uniform())
-            assert abs(b_tilde_eval(d, z) - s.evaluate(z)) < 1e-12
+            assert abs(b_tilde_eval(d, z) - evaluate(s, z)) < 1e-12
 
 
 def _li2_points():

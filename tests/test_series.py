@@ -11,10 +11,11 @@ from stripcoef.series import (
     _exp_newton,
     _exp_recurrence,
     coeffs_by_circle_sampling,
-    compose_schwarz,
     log_normalized,
     series_exp,
 )
+
+from oracles import compose_schwarz, evaluate, identity
 
 
 def _random_normalized(rng, order, scale=0.1):
@@ -70,7 +71,7 @@ class TestExpLog:
         assert np.array_equal(e.coeffs, [1, 0, 0, 0, 0])
 
     def test_exp_of_z(self):
-        e = series_exp(TruncatedSeries.identity(8))
+        e = series_exp(identity(8))
         expected = 1.0 / np.array([math.factorial(k) for k in range(9)])
         assert np.allclose(e.coeffs, expected, atol=1e-14)
 
@@ -79,7 +80,7 @@ class TestExpLog:
             series_exp(TruncatedSeries([0.5, 1]))
 
     def test_log_of_identity_map(self):
-        ell = log_normalized(TruncatedSeries.identity(6))
+        ell = log_normalized(identity(6))
         assert np.allclose(ell.coeffs, 0.0)
 
     def test_log_of_koebe_is_harmonic_series(self):
@@ -177,7 +178,7 @@ class TestExpNewton:
 class TestComposition:
     def test_identity_inner(self):
         h = TruncatedSeries([1, 2, 3, 4])
-        got = compose_schwarz(h, TruncatedSeries.identity(3))
+        got = compose_schwarz(h, identity(3))
         assert np.allclose(got.coeffs, h.coeffs)
 
     def test_zero_inner_gives_constant(self):
@@ -193,7 +194,7 @@ class TestComposition:
         assert np.allclose(got.coeffs, 0.5 ** np.arange(order + 1))
         # pointwise: sum (z/2)^k equals the composed series at a point
         z = 0.3 + 0.2j
-        assert abs(got.evaluate(z) - h.evaluate(w.evaluate(z))) < 1e-12
+        assert abs(evaluate(got, z) - evaluate(h, evaluate(w, z))) < 1e-12
 
     def test_rejects_nonvanishing_inner(self):
         with pytest.raises(ValueError):
@@ -202,19 +203,19 @@ class TestComposition:
 
 class TestEvaluation:
     def test_at_origin(self):
-        assert TruncatedSeries([3 + 1j, 5, 7]).evaluate(0.0) == 3 + 1j
+        assert evaluate(TruncatedSeries([3 + 1j, 5, 7]), 0.0) == 3 + 1j
 
     def test_quadratic_at_half(self):
-        assert abs(TruncatedSeries([1, 1, 1]).evaluate(0.5) - 1.75) < 1e-15
+        assert abs(evaluate(TruncatedSeries([1, 1, 1]), 0.5) - 1.75) < 1e-15
 
     def test_truncated_geometric(self):
         s = TruncatedSeries(np.ones(65))
-        assert abs(s.evaluate(0.5) - 2.0) < 1e-10
+        assert abs(evaluate(s, 0.5) - 2.0) < 1e-10
 
     def test_vectorized(self):
         s = TruncatedSeries([1, 2])
         z = np.array([0.1, 0.2j])
-        assert np.allclose(s.evaluate(z), 1 + 2 * z)
+        assert np.allclose(evaluate(s, z), 1 + 2 * z)
 
 
 class TestCircleValues:
@@ -228,7 +229,7 @@ class TestCircleValues:
             generate_member(DorffParam(2.0), SchwarzSpec.power(0.8j, 3), 300),
         ]
         for f in members:
-            assert np.max(np.abs(f.circle_values(radius, angles) - f.evaluate(z))) < 1e-12
+            assert np.max(np.abs(f.circle_values(radius, angles) - evaluate(f, z))) < 1e-12
 
 
 class TestCircleSampling:
@@ -247,7 +248,7 @@ class TestCircleSampling:
         rng = np.random.default_rng(13)
         for _ in range(5):
             a = TruncatedSeries(rng.standard_normal(17) + 1j * rng.standard_normal(17))
-            got = coeffs_by_circle_sampling(a.evaluate, 16, 0.5)
+            got = coeffs_by_circle_sampling(lambda z: evaluate(a, z), 16, 0.5)
             assert np.max(np.abs(got.coeffs - a.coeffs)) < 1e-8
 
     def test_scalar_only_callable(self):

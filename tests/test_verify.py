@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from stripcoef.logcoef import (
-    LogCoeffVector,
     SchwarzSpec,
     extremal,
+    extremal_gammas,
     generate_member,
     koebe_rotation,
     random_dorff_param,
@@ -36,7 +36,10 @@ from stripcoef.verify import (
     sharpness_dorff,
     sharpness_strip,
     sum_gamma_sq,
+    sum_tail,
 )
+
+from oracles import identity
 
 PI = np.pi
 HALF = StripParams(0.5, 1.5)
@@ -68,17 +71,21 @@ class TestBounds:
         rng = np.random.default_rng(73)
         for _ in range(5):
             p = random_strip_params(rng)
-            _, vec = extremal(p, 4096)
-            partial, tail = sum_gamma_sq(vec)
-            assert abs(partial - p.sum_bound()) <= tail
+            _, gammas = extremal(p, 4096)
+            assert abs(sum_gamma_sq(gammas) - p.sum_bound()) <= sum_tail(p, 4096)
 
     def test_dorff_equals_extremal_square_sum(self):
         rng = np.random.default_rng(79)
         for _ in range(5):
             d = random_dorff_param(rng)
-            _, vec = extremal(d, 4096)
-            partial, tail = sum_gamma_sq(vec)
-            assert abs(partial - d.sum_bound()) <= tail
+            _, gammas = extremal(d, 4096)
+            assert abs(sum_gamma_sq(gammas) - d.sum_bound()) <= sum_tail(d, 4096)
+
+    @pytest.mark.parametrize("alpha, beta", [(-1e11, 1.001), (-1e12, 1.001), (-1e13, 1.01)])
+    def test_extremal_sum_below_bound_as_mu_nears_one(self, alpha, beta):
+        # a phase formed from the rounded mu put the sum up to 8.5e-6 over
+        p = StripParams(alpha, beta)
+        assert sum_gamma_sq(extremal_gammas(p, 4096)) <= p.sum_bound()
 
     def test_positivity_of_circle_deficit(self):
         # pi^4/45 minus the symmetric circle sum stays positive inside (0, 2pi)
@@ -141,7 +148,9 @@ class TestBounds:
         targets += [DorffParam(d) for d in (*deltas, np.nextafter(PI, 0.0))]
         for t in targets:
             assert t.sum_bound() > 0.0, t
-            assert sharpness(t).verdict == EQUALITY, t
+            report = sharpness(t)
+            assert report.verdict == EQUALITY, t
+            assert report.lhs <= report.rhs, t
 
 
 class TestPerNBounds:
@@ -167,8 +176,8 @@ class TestPerNBounds:
         assert DorffParam.per_n_bound(2) == 0.25
 
     def test_dorff_attained_at_first_gamma(self):
-        _, vec = extremal(RIGHT, 16)
-        assert abs(vec.gamma(1)) == DorffParam.per_n_bound(1)
+        _, gammas = extremal(RIGHT, 16)
+        assert abs(gammas[0]) == DorffParam.per_n_bound(1)
 
     def test_reject_bad_index(self):
         with pytest.raises(ValueError):
@@ -179,22 +188,36 @@ class TestPerNBounds:
 
 class TestSumGammaSq:
     def test_zero_vector(self):
-        partial, tail = sum_gamma_sq(LogCoeffVector(np.zeros(16)))
-        assert partial == 0.0
-        assert tail == 0.0
+        assert sum_gamma_sq(np.zeros(16)) == 0.0
 
     def test_koebe_partial_sum_with_exact_tail(self):
         from scipy.special import zeta
 
-        _, vec = koebe_rotation(1.0, 4096)
-        partial, tail = sum_gamma_sq(vec)
-        assert tail == 0.0  # no quadratic tail constant for 1/n decay
-        assert abs(partial + zeta(2, 4097) - PI**2 / 6.0) < 1e-7
+        # gamma_n = 1/n: no target tail model applies, the exact one does
+        _, gammas = koebe_rotation(1.0, 4096)
+        assert abs(sum_gamma_sq(gammas) + zeta(2, 4097) - PI**2 / 6.0) < 1e-7
 
     def test_extremal_strip_value(self):
-        _, vec = extremal(HALF, 4096)
-        partial, tail = sum_gamma_sq(vec)
-        assert abs(partial - PI**2 / 96.0) <= tail
+        _, gammas = extremal(HALF, 4096)
+        assert abs(sum_gamma_sq(gammas) - PI**2 / 96.0) <= sum_tail(HALF, 4096)
+
+
+class TestSumTail:
+    def test_quadratic_model_where_it_is_the_smaller(self):
+        # C/B <= N: the tail keeps the float expression C^2/(3 N^3)
+        for t in (HALF, RIGHT, StripParams(-0.7, 2.9), DorffParam(3.1)):
+            c = t.tail_constant
+            assert sum_tail(t, 4096) == (c * c) / (3.0 * 4096**3)
+
+    @pytest.mark.parametrize(
+        "target",
+        [HALF, StripParams(-1e8, 1.5), StripParams(0.999, 1e6), DorffParam(PI - 1e-6)],
+        ids=["half", "wide", "mu-small", "near-pi"],
+    )
+    def test_bounds_the_extremal_remainder(self, target):
+        order, far = 64, 2**16
+        rest = sum_gamma_sq(extremal_gammas(target, far)[order:])
+        assert rest <= sum_tail(target, order)
 
 
 class TestRogosinski:
@@ -225,7 +248,7 @@ class TestRogosinski:
 
 class TestMembership:
     def test_identity_map_inside_any_strip(self):
-        f = TruncatedSeries.identity(2048)
+        f = identity(2048)
         report = membership_check(f, HALF, 0.99, 256)
         assert report.verdict == HOLDS
         assert report.lhs == 0.0
@@ -281,7 +304,7 @@ class TestMembership:
         assert report.context["reason"] == "zero count undersampled"
 
     def test_rejects_insufficient_order_for_radius(self):
-        f = TruncatedSeries.identity(256)
+        f = identity(256)
         with pytest.raises(ValueError):
             membership_check(f, HALF, 0.999, 128)
 
@@ -386,6 +409,15 @@ class TestSharpness:
             report = sharpness_dorff(random_dorff_param(rng), order=2048)
             assert report.verdict == EQUALITY
 
+    @pytest.mark.parametrize(
+        "target", [StripParams(-1e8, 1.5), DorffParam(np.nextafter(PI, 0.0))], ids=["strip", "dorff"]
+    )
+    def test_tight_tail_at_the_class_edges(self, target):
+        # C^2/(3 N^3) read 4.9e3 and 3.8e18 here
+        report = sharpness(target)
+        assert report.verdict == EQUALITY
+        assert report.tail_estimate < 1e-4
+
     def test_builds_no_extremal_series(self, monkeypatch):
         def no_series(_):
             raise AssertionError("sharpness needs only the closed-form gammas")
@@ -423,3 +455,24 @@ class TestAuditMember:
             audit_member(generate_member(HALF, SchwarzSpec.identity(), 128), HALF, 0.5, 64)
         reports = audit_member(generate_member(HALF, SchwarzSpec.identity(), 129), HALF, 0.5, 64)
         assert all(r.verdict != VIOLATED for r in reports)
+
+
+class TestDorffIsAStrip:
+    """M(delta) is S(alpha, beta) with alpha = 1 + (delta - pi)/(2 sin delta)
+    and beta = 1 + delta/(2 sin delta), which ties the two families'
+    independent formulas together."""
+
+    @pytest.mark.parametrize("delta", np.linspace(PI / 2.0, PI - 1e-3, 9))
+    def test_bounds_and_extremal_agree(self, delta):
+        order = 1024
+        d = DorffParam(delta)
+        p = StripParams(d.lower, d.upper)
+        n = np.arange(1, order + 1)
+        assert p.sum_bound() == pytest.approx(d.sum_bound(), rel=1e-12, abs=0.0)
+        assert p.tail_constant == pytest.approx(d.tail_constant, rel=1e-12, abs=0.0)
+        assert np.allclose(p.per_n_bound(n), d.per_n_bound(n), rtol=1e-12, atol=0.0)
+        # the strip map at z is the Dorff map at -e^{-i delta} z, shifted by 1
+        dorff = extremal_gammas(d, order)
+        rotated = dorff * (-np.exp(-1j * delta)) ** n
+        gap = np.max(np.abs(extremal_gammas(p, order) - rotated))
+        assert gap <= 1e-12 * np.max(np.abs(dorff))
