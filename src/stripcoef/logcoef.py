@@ -102,13 +102,6 @@ def log_coefficients(f: TruncatedSeries) -> np.ndarray:
     return log_normalized(f).coeffs[1:] / 2.0
 
 
-def _assemble_member(q_minus_1: np.ndarray) -> TruncatedSeries:
-    """z * exp(T) for T = integral of (q-1)/t: the unique normalized f
-    with z f'/f = q."""
-    t = TruncatedSeries(q_minus_1).integrate_over_t()
-    return series_exp(t).shift(1)
-
-
 def extremal_gammas(target, order: int) -> np.ndarray:
     """Closed-form gamma_1..gamma_order of the target's extremal function,
     without its series: half the integrated-map coefficients."""
@@ -121,7 +114,7 @@ def extremal(target, order: int) -> tuple[TruncatedSeries, np.ndarray]:
     """Extremal function z * exp(integrated target map), so z f'/f is the
     target map itself, and its closed-form gammas."""
     gammas = extremal_gammas(target, order)
-    return series_exp(hat_series(target, order - 1)).shift(1), gammas
+    return series_exp(hat_series(target, order - 1)).shift(), gammas
 
 
 def koebe_rotation(eps: complex, order: int) -> tuple[TruncatedSeries, np.ndarray]:
@@ -190,9 +183,10 @@ def generate_member(target, w: SchwarzSpec, order: int) -> TruncatedSeries:
     """The unique normalized f with z f'/f subordinated through omega.
 
     Builds q = target map evaluated at omega(z) coefficient-exactly from
-    the closed-form factor logs, then f = z * exp(Int (q - 1)/t dt).
-    With omega(z) = z this reproduces the extremal function; with
-    omega = 0 it returns the identity map z.
+    the closed-form factor logs, then f = z * exp(Int (q - 1)/t dt), the
+    unique normalized f with z f'/f = q.  With omega(z) = z this
+    reproduces the extremal function; with omega = 0 it returns the
+    identity map z.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
@@ -200,7 +194,7 @@ def generate_member(target, w: SchwarzSpec, order: int) -> TruncatedSeries:
     q_minus_1 = kappa * (
         _log_one_minus(lam1, w, order - 1) - _log_one_minus(lam2, w, order - 1)
     )
-    return _assemble_member(q_minus_1)
+    return series_exp(TruncatedSeries(q_minus_1).integrate_over_t()).shift()
 
 
 def random_strip_params(rng: np.random.Generator) -> StripParams:

@@ -62,6 +62,10 @@ class StripParams:
         object.__setattr__(
             self, "mu", (1.0 - self.alpha) / (self.beta - self.alpha)
         )
+        # a subnormal or zero fraction has lost its digits: the bounds and
+        # the phase built from it would be wrong or zero
+        if self._phase()[1] < np.finfo(float).tiny:
+            raise ValueError("strip edges too far apart: min(mu, 1 - mu) is not a normal double")
 
     @property
     def width(self) -> float:

@@ -33,6 +33,7 @@ _MAX_TERMS = 2_000_000
 _MAX_WEIGHT = 48  # the largest s for which (_MAX_TERMS + 1)**s is a finite float
 
 _ABS_TOL = 1e-12  # admits unit-circle inputs up to rounding
+_QUAD_TOL = 1e-10  # absolute and relative target of li4_quadrature
 
 
 @dataclass(frozen=True)
@@ -123,15 +124,16 @@ def li4_symmetric_circle(theta: float) -> float:
     )
 
 
-def li4_quadrature(z: complex, tol: float = 1e-10) -> complex:
+def li4_quadrature(z: complex) -> complex:
     """Li_4(z) by adaptive quadrature of an integral representation.
 
     Integrates -(1/2) * Int_0^1 log^2(1/t) log(1 - t z) / t dt after the
     substitution t = e^{-u}, which turns the logarithmic endpoint
     singularity into the smooth integrand -(1/2) u^2 log(1 - z e^{-u})
-    on [0, inf).  Exists purely as a cross-check of :func:`polylog`;
-    requires |z| <= 1 and z != 1 (the path then never meets the branch
-    cut of the logarithm).
+    on [0, inf), to absolute and relative tolerance 1e-10 on each of the
+    real and imaginary parts.  Exists purely as a cross-check of
+    :func:`polylog`; requires |z| <= 1 and z != 1 (the path then never
+    meets the branch cut of the logarithm).
     """
     from scipy.integrate import quad  # the oracle alone needs scipy
 
@@ -150,6 +152,6 @@ def li4_quadrature(z: complex, tol: float = 1e-10) -> complex:
         w = 1.0 - z * math.exp(-u)
         return u * u * math.atan2(w.imag, w.real)
 
-    re, _ = quad(integrand_re, 0.0, np.inf, epsabs=tol, epsrel=tol, limit=200)
-    im, _ = quad(integrand_im, 0.0, np.inf, epsabs=tol, epsrel=tol, limit=200)
+    re, _ = quad(integrand_re, 0.0, np.inf, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
+    im, _ = quad(integrand_im, 0.0, np.inf, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
     return -0.5 * complex(re, im)

@@ -79,11 +79,9 @@ class TruncatedSeries:
         out[1:] = self.coeffs[1:] / k
         return TruncatedSeries(out)
 
-    def shift(self, k: int = 1) -> TruncatedSeries:
-        """Multiply by z**k exactly; order grows by k."""
-        if k < 0:
-            raise ValueError("shift exponent must be nonnegative")
-        return TruncatedSeries(np.concatenate([np.zeros(k), self.coeffs]))
+    def shift(self) -> TruncatedSeries:
+        """Multiply by z exactly; order grows by one."""
+        return TruncatedSeries(np.concatenate([[0.0], self.coeffs]))
 
     def truncate(self, order: int) -> TruncatedSeries:
         """Drop coefficients above `order` (which must not exceed self.order)."""
@@ -94,7 +92,7 @@ class TruncatedSeries:
     # -- evaluation --------------------------------------------------------
 
     def circle_values(self, radius: float, angles: int) -> np.ndarray:
-        """Values at radius * exp(2 pi i j / angles), j = 0..angles-1.
+        """Values on the points :func:`_circle_grid` (radius, angles).
 
         z**n repeats with period `angles` on the grid, so folding the
         r^n-scaled coefficients modulo `angles` and one inverse FFT are
@@ -221,6 +219,11 @@ def log_normalized(f: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(_log_one(f.coeffs[1:]))
 
 
+def _circle_grid(radius: float, angles: int) -> np.ndarray:
+    """The points radius * exp(2 pi i j / angles), j = 0..angles-1."""
+    return radius * np.exp(1j * (2.0 * np.pi * np.arange(angles) / angles))
+
+
 def coeffs_by_circle_sampling(
     eval_fn: Callable,
     order: int,
@@ -244,8 +247,7 @@ def coeffs_by_circle_sampling(
     m = _fft_len(4 * (order + 1)) if samples is None else samples
     if m < 4 * (order + 1):
         raise ValueError("need at least 4*(order+1) samples")
-    theta = 2.0 * np.pi * np.arange(m) / m
-    grid = radius * np.exp(1j * theta)
+    grid = _circle_grid(radius, m)
     vals = np.asarray(eval_fn(grid), dtype=complex)
     if vals.shape != grid.shape:
         raise ValueError(f"eval_fn returned shape {vals.shape} for a grid of {m} points")

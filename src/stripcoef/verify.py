@@ -21,7 +21,7 @@ import numpy as np
 
 from .logcoef import extremal_gammas, log_coefficients
 from .maps import DorffParam, StripParams
-from .series import TruncatedSeries, _fft_len, coeffs_by_circle_sampling
+from .series import TruncatedSeries, _circle_grid, _fft_len, coeffs_by_circle_sampling
 
 __all__ = [
     "BoundReport",
@@ -48,8 +48,10 @@ TOLERANCE_FLOOR = 1e-9
 # radius is negligible against every membership margin we test
 _MEMBERSHIP_TAIL_EXPONENT = 14.0
 _MEMBERSHIP_MIN_ORDER = 64
-# audit_member checks gamma_1..gamma_n_max against the per-n and sum bounds
+# audit_member checks gamma_1..gamma_n_max against the per-n and sum bounds,
+# and Rogosinski dominance over the first k_max of them
 _AUDIT_N_MAX = 128
+_AUDIT_K_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -62,15 +64,6 @@ class BoundReport:
     verdict: str
     context: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "tail_estimate": self.tail_estimate,
-            "verdict": self.verdict,
-            "context": dict(self.context),
-        }
-
 
 def _resolve_tol(tail: float, tolerance: float | None) -> float:
     return max(tail, TOLERANCE_FLOOR) if tolerance is None else tolerance
@@ -82,7 +75,7 @@ def _report(
     tail: float,
     context: dict,
     tolerance: float | None = None,
-    equality_applicable: bool = True,
+    equality_applicable: bool = False,
     reason: str | None = None,
 ) -> BoundReport:
     """Verdict of lhs <= rhs within the tolerance policy.
@@ -153,11 +146,6 @@ def sum_tail(target, order: int) -> float:
 _MAX_PHASE_STEP = np.pi / 2.0
 
 
-def _circle_grid(radius: float, angles: int) -> np.ndarray:
-    """The points radius * exp(2 pi i j / angles), j = 0..angles-1."""
-    return radius * np.exp(1j * (2.0 * np.pi * np.arange(angles) / angles))
-
-
 def _winding(values: np.ndarray) -> int | None:
     steps = np.angle(np.roll(values, -1) / values)
     if not np.all(np.abs(steps) <= _MAX_PHASE_STEP):
@@ -165,25 +153,23 @@ def _winding(values: np.ndarray) -> int | None:
     return round(float(np.sum(steps)) / (2.0 * np.pi))
 
 
-def _zero_count(series: TruncatedSeries, radius: float, values: np.ndarray) -> int | None:
-    """Zeros of `series` inside |z| = radius by the argument principle.
+def _zero_reason(
+    name: str, series: TruncatedSeries, radius: float, values: np.ndarray
+) -> str | None:
+    """The forced-violation reason when `series` has zeros inside |z| = radius.
 
-    `values` are the series' values on the circle grid of
-    :meth:`TruncatedSeries.circle_values`.  Their discrete winding number
-    about 0 is accepted when every phase step is at most pi/2; otherwise
-    the series is sampled once more, on a 5-smooth grid of at least
-    max(angles, number of coefficients) points.  None when the steps are
-    still too large.
+    The argument principle counts them: `values` are the series' values on
+    the circle grid of :meth:`TruncatedSeries.circle_values`, and their
+    discrete winding number about 0 is accepted when every phase step is
+    at most pi/2; otherwise the series is sampled once more, on a 5-smooth
+    grid of at least max(angles, number of coefficients) points.  None
+    for a count of 0; an undersampled count (steps still too large) and
+    any other count give a reason.
     """
     count = _winding(values)
     if count is None:
         m = _fft_len(max(len(values), len(series.coeffs)))
         count = _winding(series.circle_values(radius, m))
-    return count
-
-
-def _zero_reason(name: str, count: int | None) -> str | None:
-    """The forced-violation reason for a zero count other than 0."""
     if count is None:
         return "zero count undersampled"
     return None if count == 0 else f"zero count {count} for {name} inside the circle"
@@ -231,17 +217,17 @@ def membership_check(
     the worst excursion beyond the strip edges (0 when every sample is
     strictly inside).  A zero of f/z inside the circle (a pole of
     z f'/f) makes the verdict violated whatever the excursion; the
-    argument principle counts such zeros (:func:`_zero_count`).
+    argument principle counts such zeros (:func:`_zero_reason`).
     """
     _check_order(f, radius, 0)
     if not f.is_normalized():
         raise ValueError("membership audit requires a normalized series")
     lower, upper = target.lower, target.upper
     f_vals = f.circle_values(radius, angles)
-    zfp_vals = f.derivative().shift(1).circle_values(radius, angles)
+    zfp_vals = f.derivative().shift().circle_values(radius, angles)
     re = np.real(zfp_vals / f_vals)
     f_over_z = TruncatedSeries(f.coeffs[1:])
-    count = _zero_count(f_over_z, radius, f_vals / _circle_grid(radius, angles))
+    reason = _zero_reason("f/z", f_over_z, radius, f_vals / _circle_grid(radius, angles))
     re_min, re_max = float(np.min(re)), float(np.max(re))
     excursion = max(0.0, lower - re_min, re_max - upper)
     context = {
@@ -253,43 +239,25 @@ def membership_check(
         "lower": lower,
         "upper": upper,
     }
-    tail = radius**f.order
-    return _report(
-        excursion,
-        0.0,
-        tail,
-        context,
-        tolerance,
-        equality_applicable=False,
-        reason=_zero_reason("f/z", count),
-    )
+    return _report(excursion, 0.0, radius**f.order, context, tolerance, reason=reason)
 
 
-def convexity_probe(
-    h,
-    radius: float,
-    angles: int,
-    order: int = 2048,
-    sample_radius: float | None = None,
-    tolerance: float | None = None,
-) -> BoundReport:
+def convexity_probe(h, radius: float, angles: int, order: int = 2048) -> BoundReport:
     """Numerical convexity witness: Re(1 + z h''/h') > 0 on |z| <= `radius`.
 
     `h` is any pointwise-evaluable map with h'(0) != 0, analytic on the
-    closed sampling disc; its derivatives come from circle-sampled
-    coefficients.  Where h' != 0 the probe quantity is harmonic, so its
-    minimum over the disc lies on the circle |z| = radius, the only ring
-    sampled; the argument principle counts the zeros of h' inside
-    (:func:`_zero_count`), and any makes the verdict violated.  Raises
-    if h' vanishes at a sample point (the probe quantity is then
-    undefined there).
+    closed disc of radius (1 + radius)/2; its derivatives come from
+    coefficients circle-sampled at that radius.  Where h' != 0 the probe
+    quantity is harmonic, so its minimum over the disc lies on the circle
+    |z| = radius, the only ring sampled; the argument principle counts
+    the zeros of h' inside (:func:`_zero_reason`), and any makes the
+    verdict violated.  Raises if h' vanishes at a sample point (the probe
+    quantity is then undefined there).  The verdict takes the default
+    tolerance policy.
     """
     if not 0.0 < radius < 1.0:
         raise ValueError("radius must lie in (0, 1)")
-    if sample_radius is None:
-        sample_radius = (1.0 + radius) / 2.0
-    if not radius < sample_radius < 1.0:
-        raise ValueError("need radius < sample_radius < 1")
+    sample_radius = (1.0 + radius) / 2.0
     s = coeffs_by_circle_sampling(h, order, sample_radius)
     h1 = s.derivative()
     h2 = h1.derivative()
@@ -311,16 +279,8 @@ def convexity_probe(
         "worst_re": float(z[idx].real),
         "worst_im": float(z[idx].imag),
     }
-    tail = radius**order
-    return _report(
-        max(0.0, -re_min),
-        0.0,
-        tail,
-        context,
-        tolerance,
-        equality_applicable=False,
-        reason=_zero_reason("h'", _zero_count(h1, radius, d1)),
-    )
+    reason = _zero_reason("h'", h1, radius, d1)
+    return _report(max(0.0, -re_min), 0.0, radius**order, context, reason=reason)
 
 
 def reference_constants() -> dict:
@@ -346,22 +306,18 @@ def sharpness(target, order: int = 4096, tolerance: float | None = None) -> Boun
     tail = sum_tail(target, order)
     context = {**target.describe(), "order": order}
     tol = max(tail, TOLERANCE_FLOOR if tolerance is None else tolerance)
-    return _report(partial, target.sum_bound(), tail, context, tol)
+    return _report(partial, target.sum_bound(), tail, context, tol, equality_applicable=True)
 
 
 # sharpness_strip and sharpness_dorff stay: perfbench/workloads.py calls them by name
-def sharpness_strip(
-    p: StripParams, order: int = 4096, tolerance: float | None = None
-) -> BoundReport:
+def sharpness_strip(p: StripParams, order: int = 4096) -> BoundReport:
     """Sharpness of the strip sum bound: :func:`sharpness`."""
-    return sharpness(p, order, tolerance)
+    return sharpness(p, order)
 
 
-def sharpness_dorff(
-    d: DorffParam, order: int = 4096, tolerance: float | None = None
-) -> BoundReport:
+def sharpness_dorff(d: DorffParam, order: int = 4096) -> BoundReport:
     """Sharpness of the Dorff sum bound: :func:`sharpness`."""
-    return sharpness(d, order, tolerance)
+    return sharpness(d, order)
 
 
 def audit_member(
@@ -369,19 +325,19 @@ def audit_member(
     target,
     radius: float,
     angles: int,
-    k_max: int = 64,
-    n_max: int = _AUDIT_N_MAX,
     tolerance: float | None = None,
 ) -> list[BoundReport]:
     """Full soundness audit of one class member.
 
     Four reports: strip membership of z f'/f, Rogosinski partial-sum
-    dominance of 2*gamma against the integrated target map, the worst
-    per-coefficient bound over n <= n_max, and the coefficient-sum bound
-    (partial sums can only fall below the full-series bound, so equality
-    is not expected for the last three on non-extremal members).  The
-    series order must reach ``audit_min_order(radius, n_max)``.
+    dominance of 2*gamma against the integrated target map over the first
+    64 coefficients, the worst per-coefficient bound over n <= 128, and
+    the coefficient-sum bound over the same 128 (partial sums can only
+    fall below the full-series bound, so equality is not expected for the
+    last three on non-extremal members).  The series order must reach
+    ``audit_min_order(radius)``.
     """
+    k_max, n_max = _AUDIT_K_MAX, _AUDIT_N_MAX
     _check_order(f, radius, n_max)
     gam = log_coefficients(f.truncate(n_max + 1))
     n = np.arange(1, n_max + 1)
@@ -405,18 +361,12 @@ def audit_member(
         0.0,
         {"worst_n": worst + 1, "n_max": n_max},
         tolerance,
-        equality_applicable=False,
     )
     reports.append(per_n)
 
     reports.append(
         _report(
-            sum_gamma_sq(gam),
-            total,
-            0.0,
-            {"n_max": n_max, "kind": "sum-vs-bound"},
-            tolerance,
-            equality_applicable=False,
+            sum_gamma_sq(gam), total, 0.0, {"n_max": n_max, "kind": "sum-vs-bound"}, tolerance
         )
     )
     return reports

@@ -328,6 +328,25 @@ class TestConfigErrors:
             assert out == ""
             assert json.loads(err)["kind"] == "config"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--alpha", "0.9999999999999999", "--beta", "1.7e308"],
+            ["coeffs", "--alpha=-1.7e308", "--beta", "1.0000000000000002", "--order", "8"],
+            ["verify-sharpness", "--alpha", "0.9999999999999999", "--beta", "1.7e308"],
+            ["verify-sharpness", "--alpha=-1.7e308", "--beta", "1.0000000000000002"],
+            ["coeffs", "--alpha", "0.9999999999999999", "--beta", "1.1e304", "--order", "8"],
+            ["verify-sharpness", "--alpha", "0.9999999999999999", "--beta", "1.1e304"],
+        ],
+    )
+    def test_underflowing_phase_fraction_rejected(self, argv):
+        # these once printed bounds of 0.0, or warnings and then equality
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert json.loads(line)["kind"] == "config"
+
     def test_unknown_command_usage_error(self):
         proc = run_cli("frobnicate")
         assert proc.returncode == 2
@@ -366,6 +385,15 @@ class TestExitCodeContract:
         out, err = capsys.readouterr()
         assert out == ""
         assert json.loads(err)["kind"] == "internal"
+
+    def test_floating_point_fault_is_one_json_line(self):
+        # the gammas' squares overflow in numpy; its warnings once reached
+        # stderr ahead of the record
+        proc = run_cli("verify-sharpness", "--alpha=-8e307", "--beta", "8e307")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert json.loads(line)["kind"] == "internal"
 
     def test_non_finite_report_is_internal_error(self, monkeypatch, capsys):
         nan_report = BoundReport(float("nan"), 1.0, 0.0, "holds", {})

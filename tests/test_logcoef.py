@@ -258,7 +258,7 @@ class TestGenerateMember:
             q_minus_1 = TruncatedSeries(
                 np.concatenate([[0.0], q.coeffs[1:]])
             ).integrate_over_t()
-            expected = series_exp(q_minus_1).shift(1).truncate(order)
+            expected = series_exp(q_minus_1).shift().truncate(order)
             got = generate_member(p, spec, order)
             assert np.max(np.abs(got.coeffs - expected.coeffs[: order + 1])) < 1e-10
 

@@ -45,6 +45,19 @@ class TestParams:
             with pytest.raises(ValueError):
                 DorffParam(delta)
 
+    def test_rejects_underflowing_phase_fraction(self):
+        # min(mu, 1 - mu) below the smallest normal double: the bounds built
+        # from it read 0 or lose their digits
+        for alpha, beta in (
+            (0.9999999999999999, 1.7e308),
+            (-1.7e308, 1.0000000000000002),
+            (0.9999999999999999, 1.1e304),
+        ):
+            with pytest.raises(ValueError, match="not a normal double"):
+                StripParams(alpha, beta)
+        p = StripParams(0.9999999999999999, 1e290)
+        assert np.finfo(float).tiny <= p.mu < 1e-305
+
     def test_mu_in_unit_interval(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

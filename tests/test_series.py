@@ -57,7 +57,7 @@ class TestCalculus:
         integ = g.integrate_over_t()
         assert np.allclose(integ.coeffs, [0, 2, 0, 4 / 3])
         # z * d/dz of the primitive recovers the integrand exactly
-        recovered = integ.derivative().shift(1)
+        recovered = integ.derivative().shift()
         assert np.array_equal(recovered.coeffs, g.coeffs)
 
     def test_integrate_rejects_constant_term(self):

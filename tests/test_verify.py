@@ -372,6 +372,11 @@ class TestConvexityProbe:
                 assert report.verdict == HOLDS
                 assert abs(report.context["re_min"] - rings) < 1e-9
 
+    def test_samples_coefficients_midway_to_the_circle(self):
+        for radius in (0.5, 0.9):
+            report = convexity_probe(lambda z: z, radius, 64, order=64)
+            assert report.context["sample_radius"] == (1.0 + radius) / 2.0
+
     def test_flags_vanishing_derivative(self):
         with pytest.raises(ValueError):
             convexity_probe(lambda z: z * z, 0.9, 64, order=64)
@@ -455,6 +460,15 @@ class TestAuditMember:
             audit_member(generate_member(HALF, SchwarzSpec.identity(), 128), HALF, 0.5, 64)
         reports = audit_member(generate_member(HALF, SchwarzSpec.identity(), 129), HALF, 0.5, 64)
         assert all(r.verdict != VIOLATED for r in reports)
+
+
+    def test_fixed_audit_sizes(self):
+        # Rogosinski over the first 64 coefficients, per-n and sum over 128
+        g = generate_member(HALF, SchwarzSpec.identity(), 129)
+        _, rog, per_n, total = audit_member(g, HALF, 0.5, 64)
+        assert rog.context["k_max"] == 64
+        assert per_n.context["n_max"] == 128
+        assert total.context["n_max"] == 128
 
 
 class TestDorffIsAStrip:
