@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .logcoef import (
     SchwarzSpec,
-    extremal,
+    extremal_gammas,
     generate_member,
     koebe_rotation,
     log_coefficients,
@@ -72,7 +72,7 @@ __all__ = [
     "b_tilde_eval",
     "SchwarzSpec",
     "log_coefficients",
-    "extremal",
+    "extremal_gammas",
     "koebe_rotation",
     "generate_member",
     "random_strip_params",

@@ -21,7 +21,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -41,16 +41,6 @@ from .verify import (
 )
 
 __all__ = ["main", "RunConfig"]
-
-_COMMANDS = (
-    "coeffs",
-    "bounds",
-    "verify-sharpness",
-    "check-membership",
-    "generate",
-    "polylog",
-)
-
 
 # Size limits, checked before anything is allocated.  The grid floor is the
 # order floor membership audits already have: fewer angles check almost
@@ -94,7 +84,7 @@ class RunConfig:
     phi: float = 0.0
 
     def validate(self) -> None:
-        if self.command not in _COMMANDS:
+        if self.command not in _DISPATCH:
             raise ConfigError(f"unknown command {self.command!r}")
         # every float option, whether or not the command uses it: all are
         # echoed in the report's config, which must stay strict JSON
@@ -187,8 +177,8 @@ def _cmd_bounds(config: RunConfig) -> tuple[list[BoundReport], int]:
     target = config.target()
     context = dict(reference_constants())
     context.update(target.describe(), kind=f"bound_{target.family}")
-    report = BoundReport(0.0, float(target.sum_bound()), 0.0, "holds", context)
-    return [report], 0
+    reports = [_report(0.0, float(target.sum_bound()), 0.0, context)]
+    return reports, _exit_code(reports)
 
 
 def _cmd_coeffs(config: RunConfig) -> tuple[list[BoundReport], int]:
@@ -231,9 +221,8 @@ def _cmd_check_membership(config: RunConfig) -> tuple[list[BoundReport], int]:
         for r in audit_member(
             member, target, config.radius, config.grid_angles, tolerance=config.tolerance
         ):
-            context = dict(r.context)
-            context.update(sample=index, seed=config.seed, **spec.describe())
-            reports.append(BoundReport(r.lhs, r.rhs, r.tail_estimate, r.verdict, context))
+            context = {**r.context, "sample": index, "seed": config.seed, **spec.describe()}
+            reports.append(replace(r, context=context))
     return reports, _exit_code(reports)
 
 
@@ -305,9 +294,8 @@ def _cmd_polylog(config: RunConfig) -> tuple[list[BoundReport], int]:
         )
         deviation = max(deviation, abs(closed - symmetric))
     tol = max(config.tolerance, 1e-8)
-    verdict = VIOLATED if deviation > tol else "holds"
-    report = BoundReport(deviation, tol, result.tail_bound, verdict, context)
-    return [report], _exit_code([report])
+    reports = [_report(deviation, tol, result.tail_bound, context, tolerance=0.0)]
+    return reports, _exit_code(reports)
 
 
 _DISPATCH = {

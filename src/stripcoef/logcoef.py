@@ -2,11 +2,13 @@
 
 The logarithmic coefficients gamma_n of a normalized analytic function f
 are defined by log(f(z)/z) = sum 2 gamma_n z^n.  This module extracts
-them from truncated series, constructs the extremal functions that attain
-the sharp coefficient-sum bounds of both strip classes, and generates
-random class members by subordinating the target map with one of three
-analytically safe Schwarz families (so every precondition is provable,
-never sampled).
+them from truncated series, gives the closed-form gammas of the extremal
+functions that attain the sharp coefficient-sum bounds of both strip
+classes, and generates class members by subordinating the target map
+with one of three analytically safe Schwarz families (so every
+precondition is provable, never sampled).  The extremal function itself
+is the member with omega(z) = z: ``generate_member(target,
+SchwarzSpec.identity(), order)``.
 """
 
 from __future__ import annotations
@@ -16,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import DorffParam, StripParams, hat_series
+from .maps import DorffParam, StripParams
 from .series import TruncatedSeries, log_normalized, series_exp
 
 __all__ = [
     "SchwarzSpec",
     "log_coefficients",
-    "extremal",
     "extremal_gammas",
     "koebe_rotation",
     "generate_member",
@@ -68,18 +69,6 @@ class SchwarzSpec:
             raise ValueError(f"unknown Schwarz family {self.kind!r}")
 
     @classmethod
-    def scaled_rotation(cls, c: complex) -> SchwarzSpec:
-        return cls(SCALED_ROTATION, c=complex(c))
-
-    @classmethod
-    def power(cls, c: complex, k: int) -> SchwarzSpec:
-        return cls(POWER, c=complex(c), k=int(k))
-
-    @classmethod
-    def blaschke(cls, a: complex, phi: float = 0.0) -> SchwarzSpec:
-        return cls(BLASCHKE, a=complex(a), phi=float(phi))
-
-    @classmethod
     def identity(cls) -> SchwarzSpec:
         return cls(SCALED_ROTATION, c=1.0)
 
@@ -108,13 +97,6 @@ def extremal_gammas(target, order: int) -> np.ndarray:
     if order < 2:
         raise ValueError("order must be at least 2")
     return target.hat_coeff(np.arange(1, order + 1)) / 2.0
-
-
-def extremal(target, order: int) -> tuple[TruncatedSeries, np.ndarray]:
-    """Extremal function z * exp(integrated target map), so z f'/f is the
-    target map itself, and its closed-form gammas."""
-    gammas = extremal_gammas(target, order)
-    return series_exp(hat_series(target, order - 1)).shift(), gammas
 
 
 def koebe_rotation(eps: complex, order: int) -> tuple[TruncatedSeries, np.ndarray]:
@@ -212,9 +194,9 @@ def random_schwarz_spec(rng: np.random.Generator) -> SchwarzSpec:
     kind = rng.integers(3)
     phase = np.exp(2j * np.pi * rng.uniform())
     if kind == 0:
-        return SchwarzSpec.scaled_rotation(rng.uniform(0.0, 1.0) * phase)
+        return SchwarzSpec(SCALED_ROTATION, c=complex(rng.uniform(0.0, 1.0) * phase))
     if kind == 1:
-        return SchwarzSpec.power(rng.uniform(0.0, 1.0) * phase, int(rng.integers(2, 6)))
-    return SchwarzSpec.blaschke(
-        rng.uniform(0.0, 0.8) * phase, rng.uniform(0.0, 2.0 * np.pi)
-    )
+        c = complex(rng.uniform(0.0, 1.0) * phase)
+        return SchwarzSpec(POWER, c=c, k=int(rng.integers(2, 6)))
+    a = complex(rng.uniform(0.0, 0.8) * phase)
+    return SchwarzSpec(BLASCHKE, a=a, phi=float(rng.uniform(0.0, 2.0 * np.pi)))

@@ -10,6 +10,8 @@ log(f(z)/z) over the corresponding function class.
 
 Both parameter classes carry what the family-blind code needs: strip
 edges, map factors, integrated-map coefficients and the coefficient bounds.
+The pointwise maps read each family's formula from its factors, as
+``logcoef.generate_member`` does.
 
 All ratio logarithms are computed as differences of principal logarithms
 of factors with positive real part on the disc, so no branch tracking is
@@ -23,15 +25,12 @@ from typing import ClassVar
 
 import numpy as np
 
-from .series import TruncatedSeries
-
 __all__ = [
     "StripParams",
     "DorffParam",
     "p_strip_eval",
     "b_strip_coeff",
     "p_hat_eval",
-    "hat_series",
     "dorff_eval",
     "a_dorff_coeff",
     "b_tilde_eval",
@@ -198,13 +197,26 @@ def _strip_phase(p: StripParams, n) -> np.ndarray:
     return np.exp(s * 2j * np.pi * np.mod(n * t, 1.0))
 
 
+def _map_minus_center(target, z):
+    """kappa [log(1 - lam1 z) - log(1 - lam2 z)] from ``target.factors()``."""
+    z = _check_disc(z)
+    kappa, lam1, lam2 = target.factors()
+    val = kappa * (np.log(1.0 - lam1 * z) - np.log(1.0 - lam2 * z))
+    return complex(val) if val.ndim == 0 else val
+
+
+def _integrated_map(target, z):
+    """kappa [Li_2(lam2 z) - Li_2(lam1 z)], the integral of the map minus
+    its center over t from 0 to z, by Int_0^z log(1 - c t)/t dt = -Li_2(c z)."""
+    z = _check_disc(z)
+    kappa, lam1, lam2 = target.factors()
+    val = kappa * (_li2(lam2 * z) - _li2(lam1 * z))
+    return complex(val) if val.ndim == 0 else val
+
+
 def p_strip_eval(p: StripParams, z):
     """Value of the vertical-strip map; Re of the result lies in (alpha, beta)."""
-    z = _check_disc(z)
-    val = 1.0 + (p.width / np.pi) * 1j * (
-        np.log(1.0 - _strip_phase(p, 1) * z) - np.log(1.0 - z)
-    )
-    return complex(val) if val.ndim == 0 else val
+    return 1.0 + _map_minus_center(p, z)
 
 
 def b_strip_coeff(p: StripParams, n):
@@ -262,18 +274,8 @@ def _li2(z):
 
 
 def p_hat_eval(p: StripParams, z):
-    """Pointwise integrated strip map, via the dilogarithm primitive
-    Int_0^z log(1 - c t)/t dt = -Li_2(c z)."""
-    z = _check_disc(z)
-    val = (p.width / np.pi) * 1j * (_li2(z) - _li2(_strip_phase(p, 1) * z))
-    return complex(val) if val.ndim == 0 else val
-
-
-def hat_series(target, order: int) -> TruncatedSeries:
-    """Truncated Taylor series of the integrated target map (vanishes at 0)."""
-    c = np.zeros(order + 1, dtype=complex)
-    c[1:] = target.hat_coeff(np.arange(1, order + 1))
-    return TruncatedSeries(c)
+    """Pointwise integrated strip map, via dilogarithm primitives."""
+    return _integrated_map(p, z)
 
 
 def dorff_eval(d: DorffParam, z):
@@ -284,12 +286,7 @@ def dorff_eval(d: DorffParam, z):
     """
     if d.delta > np.pi - _DELTA_EVAL_MARGIN:
         raise ValueError("pointwise Dorff evaluation needs delta <= pi - 1e-6")
-    z = _check_disc(z)
-    phase = np.exp(1j * d.delta)
-    val = (
-        np.log(1.0 + z * phase) - np.log(1.0 + z / phase)
-    ) / (2j * np.sin(d.delta))
-    return complex(val) if val.ndim == 0 else val
+    return _map_minus_center(d, z)
 
 
 def a_dorff_coeff(d: DorffParam, n):
@@ -309,7 +306,4 @@ def b_tilde_eval(d: DorffParam, z):
     """Pointwise integrated Dorff map via dilogarithm primitives."""
     if d.delta > np.pi - _DELTA_EVAL_MARGIN:
         raise ValueError("pointwise Dorff evaluation needs delta <= pi - 1e-6")
-    z = _check_disc(z)
-    phase = np.exp(1j * d.delta)
-    val = (_li2(-z / phase) - _li2(-z * phase)) / (2j * np.sin(d.delta))
-    return complex(val) if val.ndim == 0 else val
+    return _integrated_map(d, z)

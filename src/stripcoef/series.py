@@ -31,6 +31,8 @@ _NORMALIZED_TOL = 1e-12
 _EXP_NEWTON_MIN = 320
 # Newton starts from the recurrence at no more terms than this
 _EXP_NEWTON_BASE = 64
+# largest residual (_exp_residual) of a Newton result that series_exp keeps
+_EXP_RESIDUAL_MAX = 1e-13
 
 
 class TruncatedSeries:
@@ -122,12 +124,17 @@ def series_exp(a: TruncatedSeries) -> TruncatedSeries:
     Orders below ``_EXP_NEWTON_MIN`` use the recurrence from E' = a'E,
     i.e. k*E_k = sum_{j=1..k} j*a_j*E_{k-j} with E_0 = 1, in O(N^2); from
     there on Newton iteration with FFT products gives the same series in
-    O(N log N).  Restricting to a_0 = 0 keeps the result branch-free.
+    O(N log N).  Newton can lose every digit on large coefficients, so the
+    recurrence recomputes any Newton result whose residual is above
+    ``_EXP_RESIDUAL_MAX`` or NaN.  Restricting to a_0 = 0 keeps the result
+    branch-free.
     """
     if abs(a.coeffs[0]) > _NORMALIZED_TOL:
         raise ValueError("series_exp requires a vanishing constant term")
     if a.order >= _EXP_NEWTON_MIN:
-        return TruncatedSeries(_exp_newton(a.coeffs))
+        e = _exp_newton(a.coeffs)
+        if _exp_residual(a.coeffs, e) <= _EXP_RESIDUAL_MAX:  # False for NaN
+            return TruncatedSeries(e)
     return TruncatedSeries(_exp_recurrence(a.coeffs))
 
 
@@ -146,6 +153,17 @@ def _exp_recurrence(a: np.ndarray) -> np.ndarray:
         out[k] = val
         rev[n - k] = val
     return out
+
+
+def _exp_residual(a: np.ndarray, e: np.ndarray) -> float:
+    """max |k E_k - sum_{j=1..k} j a_j E_{k-j}| over the last four k,
+    divided by N max(1, max |E_k|); NaN when E holds a NaN."""
+    n = len(a) - 1
+    da = np.arange(n + 1) * a
+    k = np.arange(n - 3, n + 1)
+    # elementwise products, not np.dot: BLAS threads a dot this long
+    sums = np.array([np.sum(da[1 : j + 1] * e[j - 1 :: -1]) for j in k])
+    return float(np.max(np.abs(k * e[k] - sums)) / (n * np.maximum(1.0, np.max(np.abs(e)))))
 
 
 def _fft_len(n: int) -> int:

@@ -135,7 +135,11 @@ def sum_tail(target, order: int) -> float:
     c = target.tail_constant
     b = target.per_n_bound(1)
     if c <= b * order:
-        return (c * c) / (3.0 * order**3)
+        # C^2/(3 N^3) with the exponent of C taken out of the square, which
+        # then cannot overflow while the tail is finite; the bits are those
+        # of (c * c) / (3.0 * order**3) wherever that does not overflow
+        m, e = math.frexp(c)
+        return math.ldexp(m * m / (3.0 * order**3), 2 * e)
     k = np.floor(c / b)
     return b * b * (1.0 / order - 1.0 / k) + (c / k) ** 2 / (3.0 * k)
 
@@ -183,7 +187,7 @@ def rogosinski_check(sub, dom, k_max: int, tolerance: float | None = None) -> Bo
     for every K <= k_max.
 
     Reports the worst K.  Identical sequences verdict as equality; a
-    genuine excess verdicts as violated.
+    genuine excess, or a NaN in either sequence, verdicts as violated.
     """
     sub = np.asarray(sub, dtype=complex)[:k_max]
     dom = np.asarray(dom, dtype=complex)[:k_max]
@@ -193,15 +197,10 @@ def rogosinski_check(sub, dom, k_max: int, tolerance: float | None = None) -> Bo
     cum_dom = np.cumsum(np.abs(dom) ** 2)
     diff = cum_sub - cum_dom
     worst = int(np.argmax(diff))
-    tol = _resolve_tol(0.0, tolerance)
-    if diff[worst] > tol:
-        verdict = VIOLATED
-    elif np.max(np.abs(diff)) <= tol:
-        verdict = EQUALITY
-    else:
-        verdict = HOLDS
+    equal = bool(np.max(np.abs(diff)) <= _resolve_tol(0.0, tolerance))
     context = {"k_max": k_max, "worst_k": worst + 1, "max_excess": float(diff[worst])}
-    return BoundReport(float(cum_sub[worst]), float(cum_dom[worst]), 0.0, verdict, context)
+    lhs, rhs = float(cum_sub[worst]), float(cum_dom[worst])
+    return _report(lhs, rhs, 0.0, context, tolerance, equality_applicable=equal)
 
 
 def membership_check(

@@ -2,8 +2,10 @@
 
 Each gives an independent route to a quantity the package computes in
 closed form: Horner evaluation against ``circle_values``, truncated
-composition against ``generate_member``'s factor logs, and the map
-series against circle sampling and ``hat_series``.
+composition against ``generate_member``'s factor logs, the map series
+against circle sampling, and the integrated-map series against the
+pointwise integrated maps and, exponentiated, ``generate_member`` with
+omega(z) = z.
 """
 
 import numpy as np
@@ -84,3 +86,8 @@ def p_strip_series(p: StripParams, order: int) -> TruncatedSeries:
 def dorff_series(d: DorffParam, order: int) -> TruncatedSeries:
     """Truncated Taylor series of the Dorff map (vanishes at 0)."""
     return _series(0.0, a_dorff_coeff(d, np.arange(1, order + 1)))
+
+
+def hat_series(target, order: int) -> TruncatedSeries:
+    """Truncated Taylor series of the integrated target map (vanishes at 0)."""
+    return _series(0.0, target.hat_coeff(np.arange(1, order + 1)))

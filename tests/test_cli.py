@@ -205,10 +205,10 @@ class TestGenerateCommand:
         assert proc.returncode == 0
         rows = list(csv.DictReader(out.open()))
         assert [r["n"] for r in rows[:3]] == ["0", "1", "2"]
-        from stripcoef.logcoef import extremal
+        from stripcoef.logcoef import SchwarzSpec, generate_member
         from stripcoef.maps import StripParams
 
-        f, _ = extremal(StripParams(0.5, 1.5), 16)
+        f = generate_member(StripParams(0.5, 1.5), SchwarzSpec.identity(), 16)
         got = np.array([complex(float(r["re"]), float(r["im"])) for r in rows])
         assert np.max(np.abs(got - f.coeffs)) < 1e-16
 
@@ -380,11 +380,18 @@ class TestExitCodeContract:
         assert _exit_code([ok, bad]) == 1
 
     def test_internal_error_has_its_own_code(self, capsys):
-        # the truncation tail C^2/(3 N^3) overflows for this strip width
-        assert main(["verify-sharpness", "--alpha=-1e152", "--beta", "6e154"]) == 3
+        # the squares of the gammas overflow for this strip width
+        assert main(["verify-sharpness", "--alpha=-8e307", "--beta", "8e307"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert json.loads(err)["kind"] == "internal"
+
+    def test_finite_tail_of_a_huge_constant(self, capsys):
+        # C = 1.9e154: the tail C^2/(3 N^3) once overflowed in C * C
+        assert main(["verify-sharpness", "--alpha=-1e152", "--beta", "6e154"]) == 0
+        [report] = json.loads(capsys.readouterr().out)["reports"]
+        assert report["verdict"] == "holds-with-equality"
+        assert 7e300 < report["tail_estimate"] < 8e300
 
     def test_floating_point_fault_is_one_json_line(self):
         # the gammas' squares overflow in numpy; its warnings once reached

@@ -4,7 +4,6 @@ import pytest
 from stripcoef.logcoef import (
     SchwarzSpec,
     _log_one_minus,
-    extremal,
     extremal_gammas,
     generate_member,
     koebe_rotation,
@@ -14,13 +13,21 @@ from stripcoef.logcoef import (
     random_strip_params,
 )
 from stripcoef.maps import DorffParam, StripParams, b_strip_coeff
-from stripcoef.series import TruncatedSeries
+from stripcoef.series import TruncatedSeries, series_exp
 
-from oracles import compose_schwarz, evaluate, identity, p_strip_series, schwarz_series
+from oracles import (
+    compose_schwarz,
+    evaluate,
+    hat_series,
+    identity,
+    p_strip_series,
+    schwarz_series,
+)
 
 PI = np.pi
 HALF = StripParams(0.5, 1.5)
 RIGHT = DorffParam(PI / 2.0)
+ID = SchwarzSpec.identity()
 
 
 class TestLogCoefficients:
@@ -44,7 +51,7 @@ class TestLogCoefficients:
 
 class TestExtremalStrip:
     def test_symmetric_strip_gammas(self):
-        _, v = extremal(HALF, 64)
+        v = extremal_gammas(HALF, 64)
         assert abs(v[0] - 1j / PI) < 1e-15
         assert v[1] == 0.0
         assert abs(v[2] - 1j / (9.0 * PI)) < 1e-15
@@ -53,21 +60,21 @@ class TestExtremalStrip:
         rng = np.random.default_rng(31)
         for _ in range(5):
             p = random_strip_params(rng)
-            f, v = extremal(p, 256)
+            f, v = generate_member(p, ID, 256), extremal_gammas(p, 256)
             extracted = log_coefficients(f)
             err = np.max(np.abs(extracted[:128] - v[:128]))
             assert err < 1e-10
 
     def test_log_derivative_reproduces_map_coefficients(self):
         # z f'/f of the extremal equals the strip map, order by order
-        f, _ = extremal(HALF, 128)
+        f = generate_member(HALF, ID, 128)
         ell = log_coefficients(f)
         n = np.arange(1, 65)
         got = 2.0 * n * ell[:64]
         assert np.max(np.abs(got - b_strip_coeff(HALF, n))) < 1e-12
 
     def test_gamma_square_sum_symmetric_strip(self):
-        _, v = extremal(HALF, 2048)
+        v = extremal_gammas(HALF, 2048)
         total = float(np.sum(np.abs(v) ** 2))
         assert abs(total - PI**2 / 96.0) < 1e-7
 
@@ -75,14 +82,14 @@ class TestExtremalStrip:
         rng = np.random.default_rng(37)
         for _ in range(5):
             p = random_strip_params(rng)
-            _, v = extremal(p, 128)
+            v = extremal_gammas(p, 128)
             n = np.arange(1, 129)
             assert np.all(np.abs(v) <= p.tail_constant / n**2 + 1e-15)
 
 
 class TestExtremalDorff:
     def test_right_angle_gammas(self):
-        _, v = extremal(RIGHT, 64)
+        v = extremal_gammas(RIGHT, 64)
         assert abs(v[0] - 0.5) < 1e-15
         assert abs(v[1]) < 1e-15
         assert abs(v[2] - (-1.0 / 18.0)) < 1e-15
@@ -91,7 +98,7 @@ class TestExtremalDorff:
         rng = np.random.default_rng(41)
         for _ in range(5):
             d = random_dorff_param(rng)
-            f, v = extremal(d, 256)
+            f, v = generate_member(d, ID, 256), extremal_gammas(d, 256)
             extracted = log_coefficients(f)
             err = np.max(np.abs(extracted[:128] - v[:128]))
             assert err < 1e-10
@@ -115,12 +122,12 @@ class TestExtremalDorff:
         rng = np.random.default_rng(43)
         for _ in range(10):
             d = random_dorff_param(rng)
-            _, v = extremal(d, 128)
+            v = extremal_gammas(d, 128)
             n = np.arange(1, 129)
             assert np.all(np.abs(v) <= 0.5 / n + 1e-15)
 
     def test_gamma_square_sum_right_angle(self):
-        _, v = extremal(RIGHT, 2048)
+        v = extremal_gammas(RIGHT, 2048)
         total = float(np.sum(np.abs(v) ** 2))
         assert abs(total - PI**4 / 384.0) < 1e-7
 
@@ -150,9 +157,9 @@ class TestKoebe:
 class TestSchwarzSpec:
     def test_families_are_schwarz(self):
         specs = [
-            SchwarzSpec.scaled_rotation(0.7j),
-            SchwarzSpec.power(0.9, 3),
-            SchwarzSpec.blaschke(0.5 - 0.2j, 1.3),
+            SchwarzSpec("scaled-rotation", c=0.7j),
+            SchwarzSpec("power", c=0.9, k=3),
+            SchwarzSpec("blaschke-factor", a=0.5 - 0.2j, phi=1.3),
         ]
         for spec in specs:
             s = schwarz_series(spec, 64)
@@ -161,7 +168,7 @@ class TestSchwarzSpec:
 
     def test_blaschke_series_matches_pointwise(self):
         a, phi = 0.4 + 0.3j, 0.7
-        spec = SchwarzSpec.blaschke(a, phi)
+        spec = SchwarzSpec("blaschke-factor", a=a, phi=phi)
         s = schwarz_series(spec, 256)
         rng = np.random.default_rng(47)
         for _ in range(10):
@@ -171,22 +178,22 @@ class TestSchwarzSpec:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SchwarzSpec.scaled_rotation(1.5)
+            SchwarzSpec("scaled-rotation", c=1.5)
         with pytest.raises(ValueError):
-            SchwarzSpec.power(0.5, 0)
+            SchwarzSpec("power", c=0.5, k=0)
         with pytest.raises(ValueError):
-            SchwarzSpec.blaschke(1.0)
+            SchwarzSpec("blaschke-factor", a=1.0)
         with pytest.raises(ValueError):
             SchwarzSpec("unknown-kind")
 
     def test_non_finite_parameters_rejected(self):
         nan, inf = float("nan"), float("inf")
         for make in (
-            lambda: SchwarzSpec.scaled_rotation(nan),
-            lambda: SchwarzSpec.power(complex(0.1, inf), 2),
-            lambda: SchwarzSpec.blaschke(complex(nan, 0.1)),
-            lambda: SchwarzSpec.blaschke(0.3, nan),
-            lambda: SchwarzSpec.blaschke(0.3, -inf),
+            lambda: SchwarzSpec("scaled-rotation", c=nan),
+            lambda: SchwarzSpec("power", c=complex(0.1, inf), k=2),
+            lambda: SchwarzSpec("blaschke-factor", a=complex(nan, 0.1)),
+            lambda: SchwarzSpec("blaschke-factor", a=0.3, phi=nan),
+            lambda: SchwarzSpec("blaschke-factor", a=0.3, phi=-inf),
         ):
             with pytest.raises(ValueError, match="finite"):
                 make()
@@ -212,10 +219,10 @@ class TestLogOneMinus:
     @pytest.mark.parametrize(
         "spec",
         [
-            SchwarzSpec.scaled_rotation(np.exp(0.3j)),  # |r| = 1
-            SchwarzSpec.power(0.6 - 0.5j, 3),  # |r| < 1
-            SchwarzSpec.blaschke(0.0, 1.1),  # a = 0: one exact zero power
-            SchwarzSpec.blaschke(0.7 * np.exp(2j), 0.5),
+            SchwarzSpec("scaled-rotation", c=np.exp(0.3j)),  # |r| = 1
+            SchwarzSpec("power", c=0.6 - 0.5j, k=3),  # |r| < 1
+            SchwarzSpec("blaschke-factor", a=0.0, phi=1.1),  # a = 0: one exact zero power
+            SchwarzSpec("blaschke-factor", a=0.7 * np.exp(2j), phi=0.5),
         ],
     )
     def test_matches_power_form(self, spec):
@@ -229,26 +236,26 @@ class TestLogOneMinus:
 
 
 class TestGenerateMember:
+    # the extremal function z exp(integrated map), from the integrated-map
+    # coefficients rather than the factor logs
     def test_identity_reproduces_extremal_strip(self):
-        f, _ = extremal(HALF, 128)
-        g = generate_member(HALF, SchwarzSpec.identity(), 128)
+        f = series_exp(hat_series(HALF, 127)).shift()
+        g = generate_member(HALF, ID, 128)
         assert np.max(np.abs(f.coeffs - g.coeffs)) < 1e-12
 
     def test_identity_reproduces_extremal_dorff(self):
         d = DorffParam(2.0)
-        f, _ = extremal(d, 128)
-        g = generate_member(d, SchwarzSpec.identity(), 128)
+        f = series_exp(hat_series(d, 127)).shift()
+        g = generate_member(d, ID, 128)
         assert np.max(np.abs(f.coeffs - g.coeffs)) < 1e-12
 
     def test_zero_inner_function_gives_identity_map(self):
-        g = generate_member(HALF, SchwarzSpec.scaled_rotation(0.0), 64)
+        g = generate_member(HALF, SchwarzSpec("scaled-rotation", c=0.0), 64)
         assert np.array_equal(g.coeffs, identity(64).coeffs)
 
     def test_matches_generic_composition_route(self):
         # independent route: compose the target map series with omega,
         # then integrate and exponentiate by the series engine
-        from stripcoef.series import series_exp
-
         order = 64
         rng = np.random.default_rng(53)
         for _ in range(5):
@@ -263,7 +270,7 @@ class TestGenerateMember:
             assert np.max(np.abs(got.coeffs - expected.coeffs[: order + 1])) < 1e-10
 
     def test_power_member_rogosinski_partial_sums(self):
-        g = generate_member(HALF, SchwarzSpec.power(1.0, 2), 256)
+        g = generate_member(HALF, SchwarzSpec("power", c=1.0, k=2), 256)
         gam = log_coefficients(g.truncate(65))
         n = np.arange(1, 65)
         sub = np.cumsum(np.abs(2.0 * gam[:64]) ** 2)
@@ -294,7 +301,7 @@ class TestGenerateMember:
     def test_dorff_rogosinski_against_integrated_map(self):
         rng = np.random.default_rng(67)
         d = random_dorff_param(rng)
-        spec = SchwarzSpec.blaschke(0.3 + 0.4j, 2.0)
+        spec = SchwarzSpec("blaschke-factor", a=0.3 + 0.4j, phi=2.0)
         g = generate_member(d, spec, 256)
         gam = log_coefficients(g.truncate(65))
         n = np.arange(1, 65)

@@ -11,13 +11,12 @@ from stripcoef.maps import (
     b_strip_coeff,
     b_tilde_eval,
     dorff_eval,
-    hat_series,
     p_hat_eval,
     p_strip_eval,
 )
 from stripcoef.series import coeffs_by_circle_sampling
 
-from oracles import dorff_series, evaluate, p_strip_series
+from oracles import dorff_series, evaluate, hat_series, p_strip_series
 
 PI = np.pi
 HALF = StripParams(0.5, 1.5)  # mu = 1/2

@@ -15,7 +15,7 @@ from stripcoef.series import (
     series_exp,
 )
 
-from oracles import compose_schwarz, evaluate, identity
+from oracles import compose_schwarz, evaluate, hat_series, identity
 
 
 def _random_normalized(rng, order, scale=0.1):
@@ -112,9 +112,9 @@ class TestExpLog:
 # three Schwarz families
 _TARGETS = (StripParams(-1.9, 3.8), DorffParam(3.0))
 _SPECS = (
-    SchwarzSpec.scaled_rotation(0.95 * np.exp(1j)),
-    SchwarzSpec.power(1.0, 3),
-    SchwarzSpec.blaschke(0.7 * np.exp(2j), 0.5),
+    SchwarzSpec("scaled-rotation", c=0.95 * np.exp(1j)),
+    SchwarzSpec("power", c=1.0, k=3),
+    SchwarzSpec("blaschke-factor", a=0.7 * np.exp(2j), phi=0.5),
 )
 
 
@@ -148,6 +148,14 @@ class TestExpNewton:
         for order, path in paths:
             a = _exponents(order)[0].integrate_over_t()
             assert np.array_equal(series_exp(a).coeffs, path(a.coeffs))
+
+    def test_wide_strip_falls_back_to_recurrence(self):
+        # Newton loses every digit here (coefficients up to 1.3e13 where the
+        # recurrence's reach 9.0e3); its residual sends series_exp back
+        a = hat_series(StripParams(-10.0, 10.0), 4000)
+        ref = _exp_recurrence(a.coeffs)
+        got = series_exp(a).coeffs
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_matches_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
@@ -224,10 +232,11 @@ class TestCircleValues:
     def test_matches_horner_on_members(self, angles):
         radius = 0.95
         z = radius * np.exp(2j * np.pi * np.arange(angles) / angles)
-        members = [
-            generate_member(StripParams(0.5, 1.5), SchwarzSpec.blaschke(0.3, 1.0), 300),
-            generate_member(DorffParam(2.0), SchwarzSpec.power(0.8j, 3), 300),
+        specs = [
+            (StripParams(0.5, 1.5), SchwarzSpec("blaschke-factor", a=0.3, phi=1.0)),
+            (DorffParam(2.0), SchwarzSpec("power", c=0.8j, k=3)),
         ]
+        members = [generate_member(target, spec, 300) for target, spec in specs]
         for f in members:
             assert np.max(np.abs(f.circle_values(radius, angles) - evaluate(f, z))) < 1e-12
 

@@ -3,7 +3,6 @@ import pytest
 
 from stripcoef.logcoef import (
     SchwarzSpec,
-    extremal,
     extremal_gammas,
     generate_member,
     koebe_rotation,
@@ -71,14 +70,14 @@ class TestBounds:
         rng = np.random.default_rng(73)
         for _ in range(5):
             p = random_strip_params(rng)
-            _, gammas = extremal(p, 4096)
+            gammas = extremal_gammas(p, 4096)
             assert abs(sum_gamma_sq(gammas) - p.sum_bound()) <= sum_tail(p, 4096)
 
     def test_dorff_equals_extremal_square_sum(self):
         rng = np.random.default_rng(79)
         for _ in range(5):
             d = random_dorff_param(rng)
-            _, gammas = extremal(d, 4096)
+            gammas = extremal_gammas(d, 4096)
             assert abs(sum_gamma_sq(gammas) - d.sum_bound()) <= sum_tail(d, 4096)
 
     @pytest.mark.parametrize("alpha, beta", [(-1e11, 1.001), (-1e12, 1.001), (-1e13, 1.01)])
@@ -176,7 +175,7 @@ class TestPerNBounds:
         assert DorffParam.per_n_bound(2) == 0.25
 
     def test_dorff_attained_at_first_gamma(self):
-        _, gammas = extremal(RIGHT, 16)
+        gammas = extremal_gammas(RIGHT, 16)
         assert abs(gammas[0]) == DorffParam.per_n_bound(1)
 
     def test_reject_bad_index(self):
@@ -198,16 +197,23 @@ class TestSumGammaSq:
         assert abs(sum_gamma_sq(gammas) + zeta(2, 4097) - PI**2 / 6.0) < 1e-7
 
     def test_extremal_strip_value(self):
-        _, gammas = extremal(HALF, 4096)
+        gammas = extremal_gammas(HALF, 4096)
         assert abs(sum_gamma_sq(gammas) - PI**2 / 96.0) <= sum_tail(HALF, 4096)
 
 
 class TestSumTail:
     def test_quadratic_model_where_it_is_the_smaller(self):
         # C/B <= N: the tail keeps the float expression C^2/(3 N^3)
-        for t in (HALF, RIGHT, StripParams(-0.7, 2.9), DorffParam(3.1)):
+        wide = StripParams(-1e100, 1e100)
+        for t in (HALF, RIGHT, StripParams(-0.7, 2.9), DorffParam(3.1), wide):
             c = t.tail_constant
             assert sum_tail(t, 4096) == (c * c) / (3.0 * 4096**3)
+
+    def test_quadratic_model_does_not_overflow(self):
+        # C = 1.9e154: C * C overflows although C^2/(3 N^3) is 7.3e300
+        t = StripParams(-1e152, 6e154)
+        expected = (t.tail_constant / 256) ** 2 / (3.0 * 256)
+        assert abs(sum_tail(t, 256) - expected) <= 1e-15 * expected
 
     @pytest.mark.parametrize(
         "target",
@@ -245,6 +251,15 @@ class TestRogosinski:
         with pytest.raises(ValueError):
             rogosinski_check([1.0], [1.0, 2.0], 2)
 
+    @pytest.mark.parametrize("side", ["sub", "dom"])
+    def test_nan_is_violated(self, side):
+        # every comparison with NaN is false, which once read as holds
+        seqs = {"sub": [0.1, 0.1, 0.1], "dom": [0.2, 0.2, 0.2]}
+        seqs[side][1] = float("nan")
+        report = rogosinski_check(seqs["sub"], seqs["dom"], 3)
+        assert report.verdict == VIOLATED
+        assert report.context["reason"] == "non-finite lhs or rhs"
+
 
 class TestMembership:
     def test_identity_map_inside_any_strip(self):
@@ -254,7 +269,7 @@ class TestMembership:
         assert report.lhs == 0.0
 
     def test_extremal_strip_holds(self):
-        f, _ = extremal(HALF, 2048)
+        f = generate_member(HALF, SchwarzSpec.identity(), 2048)
         report = membership_check(f, HALF, 0.99, 512)
         assert report.verdict == HOLDS
         assert HALF.alpha < report.context["re_min"]
@@ -262,7 +277,7 @@ class TestMembership:
 
     def test_extremal_dorff_holds(self):
         d = DorffParam(2.4)
-        f, _ = extremal(d, 2048)
+        f = generate_member(d, SchwarzSpec.identity(), 2048)
         report = membership_check(f, d, 0.99, 512)
         assert report.verdict == HOLDS
 
@@ -270,10 +285,10 @@ class TestMembership:
         rng = np.random.default_rng(107)
         for _ in range(5):
             p = random_strip_params(rng)
-            f, _ = extremal(p, 2048)
+            f = generate_member(p, SchwarzSpec.identity(), 2048)
             assert membership_check(f, p, 0.99, 256).verdict == HOLDS
             d = random_dorff_param(rng)
-            f, _ = extremal(d, 2048)
+            f = generate_member(d, SchwarzSpec.identity(), 2048)
             assert membership_check(f, d, 0.99, 256).verdict == HOLDS
 
     def test_koebe_violates_strip(self):
@@ -434,14 +449,15 @@ class TestSharpness:
 
 class TestAuditMember:
     def test_strip_member_all_hold(self):
-        g = generate_member(HALF, SchwarzSpec.blaschke(0.3, 1.0), 2048)
+        spec = SchwarzSpec("blaschke-factor", a=0.3, phi=1.0)
+        g = generate_member(HALF, spec, 2048)
         reports = audit_member(g, HALF, 0.99, 256)
         assert len(reports) == 4
         assert all(r.verdict != VIOLATED for r in reports)
 
     def test_dorff_member_all_hold(self):
         d = DorffParam(2.0)
-        g = generate_member(d, SchwarzSpec.power(0.8j, 3), 2048)
+        g = generate_member(d, SchwarzSpec("power", c=0.8j, k=3), 2048)
         reports = audit_member(g, d, 0.99, 256)
         assert all(r.verdict != VIOLATED for r in reports)
 
