@@ -126,14 +126,18 @@ def series_exp(a: TruncatedSeries) -> TruncatedSeries:
     there on Newton iteration with FFT products gives the same series in
     O(N log N).  Newton can lose every digit on large coefficients, so the
     recurrence recomputes any Newton result whose residual is above
-    ``_EXP_RESIDUAL_MAX`` or NaN.  Restricting to a_0 = 0 keeps the result
-    branch-free.
+    ``_EXP_RESIDUAL_MAX`` or NaN, as it is when Newton overflows.
+    Restricting to a_0 = 0 keeps the result branch-free.
     """
     if abs(a.coeffs[0]) > _NORMALIZED_TOL:
         raise ValueError("series_exp requires a vanishing constant term")
     if a.order >= _EXP_NEWTON_MIN:
-        e = _exp_newton(a.coeffs)
-        if _exp_residual(a.coeffs, e) <= _EXP_RESIDUAL_MAX:  # False for NaN
+        # an overflow in Newton shows as a NaN residual, which the
+        # recurrence then replaces
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = _exp_newton(a.coeffs)
+            residual = _exp_residual(a.coeffs, e)
+        if residual <= _EXP_RESIDUAL_MAX:  # False for NaN
             return TruncatedSeries(e)
     return TruncatedSeries(_exp_recurrence(a.coeffs))
 

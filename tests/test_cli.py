@@ -205,10 +205,13 @@ class TestGenerateCommand:
         assert proc.returncode == 0
         rows = list(csv.DictReader(out.open()))
         assert [r["n"] for r in rows[:3]] == ["0", "1", "2"]
-        from stripcoef.logcoef import SchwarzSpec, generate_member
         from stripcoef.maps import StripParams
+        from stripcoef.series import series_exp
 
-        f = generate_member(StripParams(0.5, 1.5), SchwarzSpec.identity(), 16)
+        from oracles import hat_series
+
+        # built apart from generate_member: f = z exp(hat p)
+        f = series_exp(hat_series(StripParams(0.5, 1.5), 15)).shift()
         got = np.array([complex(float(r["re"]), float(r["im"])) for r in rows])
         assert np.max(np.abs(got - f.coeffs)) < 1e-16
 
@@ -380,8 +383,9 @@ class TestExitCodeContract:
         assert _exit_code([ok, bad]) == 1
 
     def test_internal_error_has_its_own_code(self, capsys):
-        # the squares of the gammas overflow for this strip width
-        assert main(["verify-sharpness", "--alpha=-8e307", "--beta", "8e307"]) == 3
+        # the bound (width/4)^2 pi^2/6 exceeds the largest double, and
+        # Python's float power raises OverflowError
+        assert main(["bounds", "--alpha=-1e300", "--beta", "1e300"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert json.loads(err)["kind"] == "internal"
@@ -392,6 +396,16 @@ class TestExitCodeContract:
         [report] = json.loads(capsys.readouterr().out)["reports"]
         assert report["verdict"] == "holds-with-equality"
         assert 7e300 < report["tail_estimate"] < 8e300
+
+    def test_newton_overflow_falls_back_to_recurrence(self, tmp_path):
+        # at width 30 Newton overflows under the CLI's raising errstate;
+        # series_exp must still return the recurrence's finite series
+        out = tmp_path / "member.csv"
+        argv = ["generate", "--alpha=-15", "--beta", "15", "--schwarz", "identity"]
+        assert main([*argv, "--order", "4000", "--output-path", str(out)]) == 0
+        rows = list(csv.DictReader(out.open()))
+        top = max(abs(complex(float(r["re"]), float(r["im"]))) for r in rows)
+        assert 2e6 < top < 3e6
 
     def test_floating_point_fault_is_one_json_line(self):
         # the gammas' squares overflow in numpy; its warnings once reached

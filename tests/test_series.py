@@ -149,10 +149,12 @@ class TestExpNewton:
             a = _exponents(order)[0].integrate_over_t()
             assert np.array_equal(series_exp(a).coeffs, path(a.coeffs))
 
-    def test_wide_strip_falls_back_to_recurrence(self):
-        # Newton loses every digit here (coefficients up to 1.3e13 where the
-        # recurrence's reach 9.0e3); its residual sends series_exp back
-        a = hat_series(StripParams(-10.0, 10.0), 4000)
+    @pytest.mark.parametrize("half_width", [10.0, 15.0])
+    def test_wide_strip_falls_back_to_recurrence(self, half_width):
+        # at width 20 Newton loses every digit (coefficients up to 1.3e13
+        # where the recurrence's reach 9.0e3); at width 30 it overflows.
+        # Its residual, large or NaN, sends series_exp back without a warning
+        a = hat_series(StripParams(-half_width, half_width), 4000)
         ref = _exp_recurrence(a.coeffs)
         got = series_exp(a).coeffs
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
