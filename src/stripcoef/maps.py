@@ -13,9 +13,13 @@ edges, map factors, integrated-map coefficients and the coefficient bounds.
 The pointwise maps read each family's formula from its factors, as
 ``logcoef.generate_member`` does.
 
-All ratio logarithms are computed as differences of principal logarithms
-of factors with positive real part on the disc, so no branch tracking is
-ever needed.
+Each map takes one principal logarithm of the ratio of two factors with
+positive real part on the disc, which equals the difference of their
+logarithms, so no branch tracking is ever needed; each integrated map is
+a difference of two principal dilogarithms.  Every logarithm is formed
+from numpy's real ``log1p``, ``log``, ``hypot`` and ``arctan2`` (Kahan
+1987): numpy's complex ``log`` is slower, and its complex ``log1p``
+drops the digits of a small argument.
 """
 
 from __future__ import annotations
@@ -198,10 +202,25 @@ def _strip_phase(p: StripParams, n) -> np.ndarray:
 
 
 def _map_minus_center(target, z):
-    """kappa [log(1 - lam1 z) - log(1 - lam2 z)] from ``target.factors()``."""
+    """kappa log((1 - lam1 z) / (1 - lam2 z)) from ``target.factors()``.
+
+    |lam| = 1 and |z| < 1 keep both factors in the right half-plane, so
+    the principal log of their ratio is the difference of their logs.
+    The ratio is 1 + w with w = (lam2 - lam1) z / (1 - lam2 z); each is
+    its own numerator times conj(d) / |d|^2, d = 1 - lam2 z, so neither
+    cancels.  log1p of w where |w| < 1/2; elsewhere |log(1 + w)| >= 0.4,
+    and the log of the ratio keeps its digits.
+    """
     z = _check_disc(z)
     kappa, lam1, lam2 = target.factors()
-    val = kappa * (np.log(1.0 - lam1 * z) - np.log(1.0 - lam2 * z))
+    den = 1.0 - lam2 * z
+    conj_den = np.conj(den)
+    den_sq = den.real * den.real + den.imag * den.imag
+    w = (lam2 - lam1) * z * conj_den / den_sq
+    small = np.abs(w) < 0.5
+    # the far points feed log1p a 0, so it meets no |1 + w| near 0
+    near = _log1p(np.where(small, w, 0.0))
+    val = kappa * np.where(small, near, _log((1.0 - lam1 * z) * conj_den / den_sq))
     return complex(val) if val.ndim == 0 else val
 
 
@@ -254,7 +273,8 @@ _LI2_BERNOULLI = (
 def _li2(z):
     """Principal dilogarithm for |z| < 1 ('t Hooft & Veltman 1979).
 
-    The Bernoulli series in u = -log(1 - w) on Re w <= 1/2; the points
+    The Bernoulli series in u = -log(1 - w) on Re w <= 1/2, where
+    |1 - w| >= 1/2 lets :func:`_log1p` keep every digit of u; the points
     with Re z > 1/2 are reflected, Li_2(z) = pi^2/6 - log z log(1 - z)
     - Li_2(1 - z), and w = 1 - z lies in that half-disc again.
     """
@@ -262,15 +282,36 @@ def _li2(z):
     v = np.atleast_1d(z)  # 1-d, so the masked assignment below also works for 0-d input
     flip = v.real > 0.5
     w = np.where(flip, 1.0 - v, v)
-    u = -np.log1p(-w)
+    u = -_log1p(-w)
     t = u * u
-    acc = np.zeros_like(t)
-    for c in reversed(_LI2_BERNOULLI):
-        acc = acc * t + c
+    acc = np.full_like(t, _LI2_BERNOULLI[-1])
+    for c in reversed(_LI2_BERNOULLI[:-1]):
+        acc *= t
+        acc += c
     li = u - 0.25 * t + u * t * acc
     # on the flipped points u = -log z; log w only there, so z = 0 never meets log 0
-    li[flip] = np.pi**2 / 6.0 + u[flip] * np.log(w[flip]) - li[flip]
+    li[flip] = np.pi**2 / 6.0 + u[flip] * _log(w[flip]) - li[flip]
     return li.reshape(z.shape)
+
+
+def _log1p(w):
+    """Principal log(1 + w) in real arithmetic (Kahan 1987), to a few ulps
+    wherever |1 + w| >= 1/2.  numpy's complex log1p takes the log of
+    |1 + w| and loses the digits of a small w."""
+    x, y = w.real, w.imag
+    return _complex(0.5 * np.log1p(x * (2.0 + x) + y * y), np.arctan2(y, 1.0 + x))
+
+
+def _log(v):
+    """Principal log of v != 0 from its modulus and phase, in real arithmetic."""
+    return _complex(np.log(np.abs(v)), np.arctan2(v.imag, v.real))
+
+
+def _complex(re, im) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
 
 
 def p_hat_eval(p: StripParams, z):
@@ -281,8 +322,8 @@ def p_hat_eval(p: StripParams, z):
 def dorff_eval(d: DorffParam, z):
     """Value of the Dorff map; vanishes at the origin.
 
-    Restricted to delta <= pi - 1e-6: closer to pi the 1/(2 sin delta)
-    prefactor amplifies rounding in the log difference.
+    Restricted to delta <= pi - 1e-6, the edge of :func:`b_tilde_eval`;
+    the single log of the ratio keeps its digits up to there.
     """
     if d.delta > np.pi - _DELTA_EVAL_MARGIN:
         raise ValueError("pointwise Dorff evaluation needs delta <= pi - 1e-6")
@@ -303,7 +344,11 @@ def a_dorff_coeff(d: DorffParam, n):
 
 
 def b_tilde_eval(d: DorffParam, z):
-    """Pointwise integrated Dorff map via dilogarithm primitives."""
+    """Pointwise integrated Dorff map via dilogarithm primitives.
+
+    Restricted to delta <= pi - 1e-6: closer to pi the 1/(2 sin delta)
+    prefactor amplifies rounding in the Li_2 difference.
+    """
     if d.delta > np.pi - _DELTA_EVAL_MARGIN:
         raise ValueError("pointwise Dorff evaluation needs delta <= pi - 1e-6")
     return _integrated_map(d, z)

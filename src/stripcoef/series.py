@@ -10,6 +10,7 @@ branch of ``log`` is ever chosen inside the engine.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 
 import numpy as np
@@ -241,9 +242,16 @@ def log_normalized(f: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(_log_one(f.coeffs[1:]))
 
 
+# a convexity probe samples on two grids and its callers repeat them
+@functools.lru_cache(maxsize=8)
 def _circle_grid(radius: float, angles: int) -> np.ndarray:
-    """The points radius * exp(2 pi i j / angles), j = 0..angles-1."""
-    return radius * np.exp(1j * (2.0 * np.pi * np.arange(angles) / angles))
+    """The points radius * exp(2 pi i j / angles), j = 0..angles-1.
+
+    Cached, so the array is read-only: every caller shares it.
+    """
+    grid = radius * np.exp(1j * (2.0 * np.pi * np.arange(angles) / angles))
+    grid.setflags(write=False)
+    return grid
 
 
 def coeffs_by_circle_sampling(
@@ -257,12 +265,12 @@ def coeffs_by_circle_sampling(
     Discrete Fourier extraction: c_k ~ r**(-k) * mean over M samples of
     eval(r e^{i theta_j}) e^{-ik theta_j}, with M >= 4*(order+1); the
     default M is the first 5-smooth length from 4*(order+1) on, which
-    numpy's FFT handles fast.  `eval_fn` is called once on the whole grid
-    and must return one value per point.  ``convexity_probe`` takes its
-    derivatives from these coefficients; the tests also cross-check the
-    closed-form coefficients against them.  Rounding in the sampled
-    values is amplified by r**(-k) at index k; callers assert their own
-    tolerances.
+    numpy's FFT handles fast.  `eval_fn` is called once on the whole grid,
+    a read-only array, and must return one value per point.
+    ``convexity_probe`` takes its derivatives from these coefficients; the
+    tests also cross-check the closed-form coefficients against them.
+    Rounding in the sampled values is amplified by r**(-k) at index k;
+    callers assert their own tolerances.
     """
     if not 0.0 < radius < 1.0:
         raise ValueError("sampling radius must lie in (0, 1)")

@@ -150,7 +150,10 @@ def sum_tail(target, order: int) -> float:
 _MAX_PHASE_STEP = np.pi / 2.0
 
 
-def _winding(values: np.ndarray) -> int | None:
+def _winding(name: str, values: np.ndarray) -> int | None:
+    if not np.all(np.isfinite(values) & (values != 0.0)):
+        # no winding number exists, and the step ratios would divide by 0
+        raise ValueError(f"{name} vanishes or is not finite at a sample point")
     steps = np.angle(np.roll(values, -1) / values)
     if not np.all(np.abs(steps) <= _MAX_PHASE_STEP):
         return None
@@ -168,12 +171,13 @@ def _zero_reason(
     at most pi/2; otherwise the series is sampled once more, on a 5-smooth
     grid of at least max(angles, number of coefficients) points.  None
     for a count of 0; an undersampled count (steps still too large) and
-    any other count give a reason.
+    any other count give a reason.  Raises ValueError when a sample on
+    either grid is 0 or not finite.
     """
-    count = _winding(values)
+    count = _winding(name, values)
     if count is None:
         m = _fft_len(max(len(values), len(series.coeffs)))
-        count = _winding(series.circle_values(radius, m))
+        count = _winding(name, series.circle_values(radius, m))
     if count is None:
         return "zero count undersampled"
     return None if count == 0 else f"zero count {count} for {name} inside the circle"
@@ -216,17 +220,20 @@ def membership_check(
     the worst excursion beyond the strip edges (0 when every sample is
     strictly inside).  A zero of f/z inside the circle (a pole of
     z f'/f) makes the verdict violated whatever the excursion; the
-    argument principle counts such zeros (:func:`_zero_reason`).
+    argument principle counts such zeros (:func:`_zero_reason`).  Raises
+    ValueError when f/z is 0 or not finite at a sample point, where
+    z f'/f is undefined.
     """
     _check_order(f, radius, 0)
     if not f.is_normalized():
         raise ValueError("membership audit requires a normalized series")
     lower, upper = target.lower, target.upper
     f_vals = f.circle_values(radius, angles)
+    f_over_z = TruncatedSeries(f.coeffs[1:])
+    # before the division by f_vals: it raises on a zero sample
+    reason = _zero_reason("f/z", f_over_z, radius, f_vals / _circle_grid(radius, angles))
     zfp_vals = f.derivative().shift().circle_values(radius, angles)
     re = np.real(zfp_vals / f_vals)
-    f_over_z = TruncatedSeries(f.coeffs[1:])
-    reason = _zero_reason("f/z", f_over_z, radius, f_vals / _circle_grid(radius, angles))
     re_min, re_max = float(np.min(re)), float(np.max(re))
     excursion = max(0.0, lower - re_min, re_max - upper)
     context = {
@@ -250,8 +257,9 @@ def convexity_probe(h, radius: float, angles: int, order: int = 2048) -> BoundRe
     quantity is harmonic, so its minimum over the disc lies on the circle
     |z| = radius, the only ring sampled; the argument principle counts
     the zeros of h' inside (:func:`_zero_reason`), and any makes the
-    verdict violated.  Raises if h' vanishes at a sample point (the probe
-    quantity is then undefined there).  The verdict takes the default
+    verdict violated.  Raises if h' vanishes at a sample point of either
+    grid (the probe quantity or the count is then undefined there).  The
+    verdict takes the default
     tolerance policy.
     """
     if not 0.0 < radius < 1.0:

@@ -162,6 +162,18 @@ class TestCheckMembershipCommand:
         assert len(payload["reports"]) == 12  # four audits per sample
         assert all(r["verdict"] != "violated" for r in payload["reports"])
 
+    def test_zero_sample_is_value_error(self, capsys):
+        # a drawn member's f/z is exactly 0 at grid points of the refined
+        # winding grid; the division there once ended as an internal error
+        argv = ["check-membership", "--alpha=-1e3", "--beta", "1e3", "--samples", "2"]
+        assert main([*argv, "--order", "1500"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "f/z vanishes or is not finite at a sample point",
+            "kind": "value",
+        }
+
     def test_determinism_byte_identical(self):
         args = (
             "check-membership", "--delta", "2.2",

@@ -235,6 +235,53 @@ class TestIntegratedDorffMap:
             assert abs(b_tilde_eval(d, z) - evaluate(s, z)) < 1e-12
 
 
+def _mp_map(target, z, mpmath):
+    """kappa [log(1 - lam1 z) - log(1 - lam2 z)] in mpmath, from the
+    target's own doubles: the strip map minus 1, or the Dorff map."""
+    if target.family == "strip":
+        alpha, beta = mpmath.mpf(target.alpha), mpmath.mpf(target.beta)
+        kappa = 1j * (beta - alpha) / mpmath.pi
+        lam1, lam2 = mpmath.expjpi(2 * (1 - alpha) / (beta - alpha)), 1
+    else:
+        delta = mpmath.mpf(target.delta)
+        kappa = 1 / (2j * mpmath.sin(delta))
+        lam1, lam2 = -mpmath.expj(delta), -mpmath.expj(-delta)
+    z = mpmath.mpc(z.real, z.imag)
+    return complex(kappa * (mpmath.log(1 - lam1 * z) - mpmath.log(1 - lam2 * z)))
+
+
+def _disc_and_ring(seed):
+    """Random disc points and the ring |z| = 0.995 a convexity probe samples."""
+    rng = np.random.default_rng(seed)
+    disc = np.sqrt(rng.uniform(size=100)) * np.exp(2j * PI * rng.uniform(size=100))
+    return np.concatenate([disc, 0.995 * np.exp(2j * PI * np.arange(64) / 64)])
+
+
+class TestMapAccuracy:
+    def test_dorff_map_near_pi_against_mpmath(self):
+        # the two logs nearly cancel as delta nears pi; one log of the
+        # ratio keeps the digits their difference lost (2.6e-10 at pi - 1e-6)
+        mpmath = pytest.importorskip("mpmath")
+        z = _disc_and_ring(47)
+        with mpmath.workdps(30):
+            for delta in (2.0, 3.0, 3.14, 3.1415, PI - 1e-6):
+                d = DorffParam(delta)
+                exact = np.array([_mp_map(d, x, mpmath) for x in z])
+                got = dorff_eval(d, z)
+                assert np.all(np.abs(got - exact) <= 1e-14 * np.abs(exact)), delta
+
+    def test_strip_map_near_unit_phase_against_mpmath(self):
+        # mu = 1 - 1e-6: the map minus 1 is kappa log(1 + w) with a small w.
+        # What is left is the rounding of 1 - lam1, 6e-6 apart.
+        mpmath = pytest.importorskip("mpmath")
+        p = StripParams(-1e3, 1.001)
+        z = _disc_and_ring(53)
+        with mpmath.workdps(30):
+            exact = np.array([_mp_map(p, x, mpmath) for x in z])
+        got = p_strip_eval(p, z) - 1.0
+        assert np.all(np.abs(got - exact) <= 2e-11 * np.abs(exact))
+
+
 def _li2_points():
     """Random disc points, the ring |z| = 0.999999, both sides of the
     Re z = 1/2 reflection seam, and z at 0, tiny, near -1 and near 1."""
@@ -258,6 +305,15 @@ class TestDilogarithm:
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
             self._check(lambda x: complex(mpmath.polylog(2, mpmath.mpc(x.real, x.imag))))
+
+    def test_relative_error_on_disc_points(self):
+        # u = -log(1 - w) by real log1p; numpy's complex log1p lost digits
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(59)
+        z = np.sqrt(rng.uniform(size=400)) * np.exp(2j * PI * rng.uniform(size=400))
+        with mpmath.workdps(30):
+            exact = np.array([complex(mpmath.polylog(2, mpmath.mpc(x.real, x.imag))) for x in z])
+        assert np.all(np.abs(_li2(z) - exact) <= 1e-15 * np.abs(exact))
 
     def test_against_spence(self):
         special = pytest.importorskip("scipy.special")

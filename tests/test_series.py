@@ -8,6 +8,7 @@ from stripcoef.maps import DorffParam, StripParams
 from stripcoef.series import (
     _EXP_NEWTON_MIN,
     TruncatedSeries,
+    _circle_grid,
     _exp_newton,
     _exp_recurrence,
     coeffs_by_circle_sampling,
@@ -241,6 +242,29 @@ class TestCircleValues:
         members = [generate_member(target, spec, 300) for target, spec in specs]
         for f in members:
             assert np.max(np.abs(f.circle_values(radius, angles) - evaluate(f, z))) < 1e-12
+
+
+class TestCircleGrid:
+    def test_read_only(self):
+        grid = _circle_grid(0.9, 64)
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
+
+    @pytest.mark.parametrize("radius, angles", [(0.9, 64), (0.995, 8640), (0.5, 7)])
+    def test_bit_identical_to_formula(self, radius, angles):
+        expected = radius * np.exp(1j * (2.0 * np.pi * np.arange(angles) / angles))
+        assert np.array_equal(_circle_grid(radius, angles), expected)
+
+    def test_repeat_call_returns_cached_object(self):
+        assert _circle_grid(0.75, 128) is _circle_grid(0.75, 128)
+
+    def test_cache_is_bounded(self):
+        maxsize = _circle_grid.cache_info().maxsize
+        assert maxsize is not None
+        for angles in range(8, 8 + 2 * maxsize):
+            _circle_grid(0.5, angles)
+        assert _circle_grid.cache_info().currsize == maxsize
 
 
 class TestCircleSampling:

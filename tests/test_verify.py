@@ -318,6 +318,18 @@ class TestMembership:
         assert report.verdict == VIOLATED
         assert report.context["reason"] == "zero count undersampled"
 
+    def test_zero_or_non_finite_sample_raises(self):
+        # f/z = 1 - 2z is exactly 0 at the grid point z = 1/2; a NaN
+        # coefficient makes every sample NaN.  Neither has a winding number.
+        order = audit_min_order(0.5, n_max=0)
+        zero = np.zeros(order + 1)
+        zero[1:3] = 1.0, -2.0
+        nan = np.zeros(order + 1)
+        nan[1], nan[5] = 1.0, np.nan
+        for coeffs in (zero, nan):
+            with pytest.raises(ValueError, match="f/z vanishes or is not finite"):
+                membership_check(TruncatedSeries(coeffs), HALF, 0.5, 64)
+
     def test_rejects_insufficient_order_for_radius(self):
         f = identity(256)
         with pytest.raises(ValueError):
