@@ -31,6 +31,7 @@ from .maps import DorffParam, StripParams
 from .polylog import li4_quadrature, li4_symmetric_circle, polylog
 from .verify import (
     EQUALITY,
+    TOLERANCE_FLOOR,
     VIOLATED,
     BoundReport,
     _report,
@@ -66,7 +67,7 @@ class RunConfig:
     grid_angles: int = 1024
     seed: int = 0
     samples: int = 10
-    tolerance: float = 1e-9
+    tolerance: float = TOLERANCE_FLOOR
     output_format: str = "json"
     output_path: str | None = None
     # polylog-command arguments

@@ -98,7 +98,8 @@ class StripParams:
     def factors(self) -> tuple[complex, complex, complex]:
         """(kappa, lam1, lam2): the map minus its center equals
         kappa * [log(1 - lam1 w) - log(1 - lam2 w)]."""
-        return (self.width / np.pi) * 1j, _strip_phase(self, 1), 1.0 + 0.0j
+        s, t = self._phase()
+        return (self.width / np.pi) * 1j, np.exp(s * 2j * np.pi * t), 1.0 + 0.0j
 
     def hat_coeff(self, n):
         """Coefficient n of the integrated strip map: b_strip_coeff / n."""
@@ -194,13 +195,6 @@ def _check_disc(z) -> np.ndarray:
     return z
 
 
-def _strip_phase(p: StripParams, n) -> np.ndarray:
-    # e^{2 pi i n mu} with the exponent reduced mod 1, so integer n*mu
-    # (even indices at mu = 1/2, say) yields an exact zero in 1 - phase
-    s, t = p._phase()
-    return np.exp(s * 2j * np.pi * np.mod(n * t, 1.0))
-
-
 def _map_minus_center(target, z):
     """kappa log((1 - lam1 z) / (1 - lam2 z)) from ``target.factors()``.
 
@@ -241,7 +235,12 @@ def p_strip_eval(p: StripParams, z):
 def b_strip_coeff(p: StripParams, n):
     """Taylor coefficient n >= 1 of the strip map; |result| <= 2*width/(n*pi)."""
     n = _check_index(n)
-    val = (p.width / (n * np.pi)) * 1j * (1.0 - _strip_phase(p, n))
+    s, t = p._phase()
+    # 1 - e^{2 pi i n mu} = 1 - e^{2 pi i s r} with no subtraction, r = n t
+    # reduced exactly to (-1/2, 1/2]: integer n t (even n at mu = 1/2) gives 0
+    r = n * t - np.ceil(n * t - 0.5)
+    one_minus_phase = _complex(2.0 * np.sin(np.pi * r) ** 2, -s * np.sin(2.0 * np.pi * r))
+    val = (p.width / (n * np.pi)) * 1j * one_minus_phase
     return complex(val) if val.ndim == 0 else val
 
 

@@ -3,10 +3,10 @@
 Every check emits a :class:`BoundReport` with the computed left-hand
 quantity, the sharp bound it is tested against, a truncation-tail
 estimate, and a verdict.
-Verdicts follow one tolerance policy: ``tol = max(tail_estimate, 1e-9)``
-unless the caller overrides it; truncation, not arithmetic, dominates
-the error everywhere in this artifact.  :func:`sharpness` keeps the tail
-in even then: its tolerance is ``max(tail_estimate, tolerance)``.
+Every verdict is taken within one `tolerance`, ``TOLERANCE_FLOOR`` = 1e-9
+by default.  Only a proven tail widens it: :func:`sharpness` uses
+``max(sum_tail, tolerance)``.  The circle audits' ``radius**order``
+bounds no stated quantity, so it is reported but widens nothing.
 
 Negative controls (deliberately violated inputs) are part of the checker
 contracts so the discriminating power of each verdict is itself tested.
@@ -65,34 +65,29 @@ class BoundReport:
     context: dict = field(default_factory=dict)
 
 
-def _resolve_tol(tail: float, tolerance: float | None) -> float:
-    return max(tail, TOLERANCE_FLOOR) if tolerance is None else tolerance
-
-
 def _report(
     lhs: float,
     rhs: float,
     tail: float,
     context: dict,
-    tolerance: float | None = None,
+    tolerance: float = TOLERANCE_FLOOR,
     equality_applicable: bool = False,
     reason: str | None = None,
 ) -> BoundReport:
-    """Verdict of lhs <= rhs within the tolerance policy.
+    """Verdict of lhs <= rhs within `tolerance`.
 
     A `reason` forces `violated` and is recorded in the context, as is a
     non-finite side (every comparison with NaN is false, which would
     read as holds).
     """
-    tol = _resolve_tol(tail, tolerance)
     if reason is None and not (math.isfinite(lhs) and math.isfinite(rhs)):
         reason = "non-finite lhs or rhs"
     if reason is not None:
         verdict = VIOLATED
         context = {**context, "reason": reason}
-    elif lhs - rhs > tol:
+    elif lhs - rhs > tolerance:
         verdict = VIOLATED
-    elif equality_applicable and abs(lhs + 0.5 * tail - rhs) <= tol:
+    elif equality_applicable and abs(lhs + 0.5 * tail - rhs) <= tolerance:
         verdict = EQUALITY
     else:
         verdict = HOLDS
@@ -186,7 +181,7 @@ def _zero_reason(
 # -- checks ------------------------------------------------------------------
 
 
-def rogosinski_check(sub, dom, k_max: int, tolerance: float | None = None) -> BoundReport:
+def rogosinski_check(sub, dom, k_max: int, tolerance: float = TOLERANCE_FLOOR) -> BoundReport:
     """Partial-sum dominance sum_{n<=K} |sub_n|^2 <= sum_{n<=K} |dom_n|^2
     for every K <= k_max.
 
@@ -201,7 +196,7 @@ def rogosinski_check(sub, dom, k_max: int, tolerance: float | None = None) -> Bo
     cum_dom = np.cumsum(np.abs(dom) ** 2)
     diff = cum_sub - cum_dom
     worst = int(np.argmax(diff))
-    equal = bool(np.max(np.abs(diff)) <= _resolve_tol(0.0, tolerance))
+    equal = bool(np.max(np.abs(diff)) <= tolerance)
     context = {"k_max": k_max, "worst_k": worst + 1, "max_excess": float(diff[worst])}
     lhs, rhs = float(cum_sub[worst]), float(cum_dom[worst])
     return _report(lhs, rhs, 0.0, context, tolerance, equality_applicable=equal)
@@ -212,7 +207,7 @@ def membership_check(
     target,
     radius: float,
     angles: int,
-    tolerance: float | None = None,
+    tolerance: float = TOLERANCE_FLOOR,
 ) -> BoundReport:
     """Audit Re{z f'(z)/f(z)} against the target strip on a circle grid.
 
@@ -259,8 +254,7 @@ def convexity_probe(h, radius: float, angles: int, order: int = 2048) -> BoundRe
     the zeros of h' inside (:func:`_zero_reason`), and any makes the
     verdict violated.  Raises if h' vanishes at a sample point of either
     grid (the probe quantity or the count is then undefined there).  The
-    verdict takes the default
-    tolerance policy.
+    verdict is taken within ``TOLERANCE_FLOOR``.
     """
     if not 0.0 < radius < 1.0:
         raise ValueError("radius must lie in (0, 1)")
@@ -301,18 +295,17 @@ def reference_constants() -> dict:
 # -- composite checks --------------------------------------------------------
 
 
-def sharpness(target, order: int = 4096, tolerance: float | None = None) -> BoundReport:
+def sharpness(target, order: int = 4096, tolerance: float = TOLERANCE_FLOOR) -> BoundReport:
     """Sharpness of the target's sum bound on its extremal function.
 
     Sums the closed-form |gamma_n|^2 to `order` and compares against
-    ``target.sum_bound()`` within max(:func:`sum_tail`, `tolerance`), the
-    tolerance defaulting to 1e-9; the verdict must be holds-with-equality
-    for every admissible parameter.
+    ``target.sum_bound()`` within max(:func:`sum_tail`, `tolerance`); the
+    verdict must be holds-with-equality for every admissible parameter.
     """
     partial = sum_gamma_sq(extremal_gammas(target, order))
     tail = sum_tail(target, order)
     context = {**target.describe(), "order": order}
-    tol = max(tail, TOLERANCE_FLOOR if tolerance is None else tolerance)
+    tol = max(tail, tolerance)
     return _report(partial, target.sum_bound(), tail, context, tol, equality_applicable=True)
 
 
@@ -332,7 +325,7 @@ def audit_member(
     target,
     radius: float,
     angles: int,
-    tolerance: float | None = None,
+    tolerance: float = TOLERANCE_FLOOR,
 ) -> list[BoundReport]:
     """Full soundness audit of one class member.
 

@@ -462,3 +462,44 @@ class TestLazyScipy:
         check = "; import sys; assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']"
         proc = subprocess.run([sys.executable, "-c", code + check], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_no_command_needs_scipy(self):
+        # the cli benchmark workload's commands (the README examples, generate
+        # writing to stdout) plus a weight-4 point off the real axis, with
+        # every import of scipy failing
+        commands = [
+            ["bounds", "--alpha", "0.5", "--beta", "1.5"],
+            ["coeffs", "--alpha", "0.5", "--beta", "1.5", "--order", "16"],
+            ["verify-sharpness", "--delta", "1.5707963267948966", "--order", "4096"],
+            ["check-membership", "--alpha", "0", "--beta", "2", "--samples", "10",
+             "--order", "1500", "--seed", "7"],
+            ["generate", "--delta", "2.0", "--schwarz", "blaschke-factor", "--a-re", "0.4",
+             "--phi", "1.0", "--order", "256", "--seed", "7"],
+            ["polylog", "--theta", "3.141592653589793"],
+            ["coeffs", "--alpha", "0.5", "--beta", "1.5", "--order", "4096"],
+            ["polylog", "--s", "2", "--z-re", "-1"],
+            ["polylog", "--s", "4", "--z-re", "0.25", "--z-im", "0.5"],
+        ]
+        child = (
+            "import contextlib, io, json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from stripcoef.cli import main\n"
+            "runs = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        code = main(argv)\n"
+            "    runs.append([code, out.getvalue()])\n"
+            "print(json.dumps(runs))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, json.dumps(commands)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        for argv, (code, stdout) in zip(commands, json.loads(proc.stdout), strict=True):
+            assert code == 0, (argv, proc.stderr)
+            if argv[0] == "generate":
+                assert stdout.startswith("n,re,im\n") and len(stdout.splitlines()) == 258
+            else:
+                # strict JSON: a NaN or infinity would not dump back
+                json.dumps(json.loads(stdout), allow_nan=False)

@@ -281,6 +281,23 @@ class TestMapAccuracy:
         got = p_strip_eval(p, z) - 1.0
         assert np.all(np.abs(got - exact) <= 2e-11 * np.abs(exact))
 
+    @pytest.mark.parametrize("alpha", [-1e3, -1e11])
+    def test_strip_coefficients_near_unit_phase_against_mpmath(self, alpha):
+        # 1 - mu = 1e-6 and 1e-14; 1 minus the rounded phase e^{2 pi i n mu}
+        # erred by 7.5e-12 relative at n = 1 for alpha = -1e3
+        mpmath = pytest.importorskip("mpmath")
+        p = StripParams(alpha, 1.001)
+        s, t = p._phase()
+        n = np.arange(1, 65)
+        with mpmath.workdps(40):
+            # the same rounded phase n t as the library's
+            phase = [mpmath.expjpi(2 * s * mpmath.mpf(float(k * t))) for k in n]
+            exact = np.array(
+                [complex(p.width / (k * mpmath.pi) * 1j * (1 - e)) for k, e in zip(n, phase)]
+            )
+        got = b_strip_coeff(p, n)
+        assert np.all(np.abs(got - exact) <= 1e-14 * np.abs(exact))
+
 
 def _li2_points():
     """Random disc points, the ring |z| = 0.999999, both sides of the

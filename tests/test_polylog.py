@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -182,3 +184,28 @@ class TestQuadrature:
     def test_rejects_outside_disc(self):
         with pytest.raises(ValueError):
             li4_quadrature(1.5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_against_mpmath(self):
+        # scipy's quad missed this by up to 3.7e-13
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(29)
+        disc = 0.9 * np.sqrt(rng.uniform(size=50)) * np.exp(2j * PI * rng.uniform(size=50))
+        circle = np.exp(2j * PI * rng.uniform(size=50))
+        angles = np.exp(1j * np.array([1e-4, 1e-3, PI, 2.0 * PI - 1e-4]))
+        edge = 1.0 + 1e-12
+        special = [-1.0, 0.5, 0.999, 1.0 - 1e-9, edge, edge * np.exp(0.7j)]
+        with mpmath.workdps(40):
+            for z in [*disc, *circle, *angles, *special]:
+                z = complex(z)
+                exact = complex(mpmath.polylog(4, mpmath.mpc(z.real, z.imag)))
+                value = li4_quadrature(z)
+                assert np.isfinite(value)
+                assert abs(value - exact) <= 1e-14 * max(1.0, abs(exact)), z
+
+    def test_raises_when_not_converged(self, monkeypatch):
+        # the sums at steps 1/4 and 1/8 still differ by 4e-4 relative
+        module = importlib.import_module("stripcoef.polylog")
+        monkeypatch.setattr(module, "_QUAD_MAX_HALVINGS", 2)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            li4_quadrature(np.exp(1e-4j))

@@ -427,6 +427,12 @@ class TestReport:
             assert report.verdict == VIOLATED
             assert "non-finite" in report.context["reason"]
 
+    def test_tail_does_not_widen_the_tolerance(self):
+        # the circle audits' radius**order tail (8.1e-7 at the soundness
+        # sizes) used to widen the library's default tolerance
+        assert _report(1.0 + 1e-8, 1.0, 1e-6, {}).verdict == VIOLATED
+        assert _report(1.0 + 1e-8, 1.0, 1e-6, {}, tolerance=1e-7).verdict == HOLDS
+
 
 class TestSharpness:
     def test_strip_random_draws(self):
