@@ -95,18 +95,9 @@ class TruncatedSeries:
     # -- evaluation --------------------------------------------------------
 
     def circle_values(self, radius: float, angles: int) -> np.ndarray:
-        """Values on the points :func:`_circle_grid` (radius, angles).
-
-        z**n repeats with period `angles` on the grid, so folding the
-        r^n-scaled coefficients modulo `angles` and one inverse FFT are
-        exact for any order.  The inverse is :func:`coeffs_by_circle_sampling`.
-        """
-        scaled = self.coeffs * radius ** np.arange(len(self.coeffs))
-        folded = np.zeros(angles, dtype=complex)
-        for start in range(0, len(scaled), angles):
-            chunk = scaled[start : start + angles]
-            folded[: len(chunk)] += chunk
-        return np.fft.ifft(folded) * angles
+        """Values on :func:`_circle_grid` (radius, angles), by :func:`_fold`;
+        the inverse is :func:`coeffs_by_circle_sampling`."""
+        return _fold(self.coeffs * radius ** np.arange(len(self.coeffs)), angles)
 
     # -- tags --------------------------------------------------------------
 
@@ -242,6 +233,16 @@ def log_normalized(f: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(_log_one(f.coeffs[1:]))
 
 
+def _fold(modes: np.ndarray, angles: int) -> np.ndarray:
+    """sum_k modes[k] w**k at w = exp(2 pi i j / angles): w**k has period
+    `angles`, so folding modulo it and one inverse FFT are exact."""
+    folded = np.zeros(angles, dtype=complex)
+    for start in range(0, len(modes), angles):
+        chunk = modes[start : start + angles]
+        folded[: len(chunk)] += chunk
+    return np.fft.ifft(folded) * angles
+
+
 # a convexity probe samples on two grids and its callers repeat them
 @functools.lru_cache(maxsize=8)
 def _circle_grid(radius: float, angles: int) -> np.ndarray:
@@ -267,8 +268,8 @@ def coeffs_by_circle_sampling(
     default M is the first 5-smooth length from 4*(order+1) on, which
     numpy's FFT handles fast.  `eval_fn` is called once on the whole grid,
     a read-only array, and must return one value per point.
-    ``convexity_probe`` takes its derivatives from these coefficients; the
-    tests also cross-check the closed-form coefficients against them.
+    The tests cross-check the closed-form coefficients against them;
+    ``convexity_probe`` samples the same default grid but keeps all M modes.
     Rounding in the sampled values is amplified by r**(-k) at index k;
     callers assert their own tolerances.
     """

@@ -5,7 +5,8 @@ closed form: Horner evaluation against ``circle_values``, truncated
 composition against ``generate_member``'s factor logs, the map series
 against circle sampling, and the integrated-map series against the
 pointwise integrated maps and, exponentiated, ``generate_member`` with
-omega(z) = z.
+omega(z) = z, and the closed-form Re(1 + z h''/h') against
+``convexity_probe``.
 """
 
 import numpy as np
@@ -91,3 +92,20 @@ def dorff_series(d: DorffParam, order: int) -> TruncatedSeries:
 def hat_series(target, order: int) -> TruncatedSeries:
     """Truncated Taylor series of the integrated target map (vanishes at 0)."""
     return _series(0.0, target.hat_coeff(np.arange(1, order + 1)))
+
+
+def convexity_quantity(target, z, integrated: bool = False):
+    """Re(1 + z h''/h') of the target map, or of its integrated map, at z.
+
+    From ``target.factors()``: the map minus its center is
+    m = kappa [log(1 - lam1 z) - log(1 - lam2 z)], so
+    h' = kappa (lam2/(1 - lam2 z) - lam1/(1 - lam1 z)); the integrated
+    map has h' = m/z, for which 1 + z h''/h' = z m'/m.  kappa cancels.
+    """
+    _, lam1, lam2 = target.factors()
+    z = np.asarray(z, dtype=complex)
+    d1, d2 = 1.0 - lam1 * z, 1.0 - lam2 * z
+    m1 = lam2 / d2 - lam1 / d1
+    if integrated:
+        return np.real(z * m1 / np.log(d1 / d2))
+    return np.real(1.0 + z * ((lam2 / d2) ** 2 - (lam1 / d1) ** 2) / m1)

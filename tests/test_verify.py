@@ -19,7 +19,7 @@ from stripcoef.maps import (
     p_strip_eval,
 )
 from stripcoef.polylog import li4_symmetric_circle
-from stripcoef.series import TruncatedSeries, coeffs_by_circle_sampling
+from stripcoef.series import TruncatedSeries
 from stripcoef.verify import (
     _report,
     EQUALITY,
@@ -38,11 +38,21 @@ from stripcoef.verify import (
     sum_tail,
 )
 
-from oracles import identity
+from oracles import convexity_quantity, identity
 
 PI = np.pi
 HALF = StripParams(0.5, 1.5)
 RIGHT = DorffParam(PI / 2.0)
+
+
+def four_maps(p, d):
+    """(target, map, integrated) for the two maps of each family."""
+    return [
+        (p, lambda z: p_strip_eval(p, z), False),
+        (p, lambda z: p_hat_eval(p, z), True),
+        (d, lambda z: dorff_eval(d, z), False),
+        (d, lambda z: b_tilde_eval(d, z), True),
+    ]
 
 
 class TestBounds:
@@ -225,6 +235,11 @@ class TestSumTail:
         rest = sum_gamma_sq(extremal_gammas(target, far)[order:])
         assert rest <= sum_tail(target, order)
 
+    def test_rejects_order_below_one(self):
+        # order 0 divided by zero in the quadratic model
+        with pytest.raises(ValueError, match="order"):
+            sum_tail(HALF, 0)
+
 
 class TestRogosinski:
     def test_equality_for_identical_sequences(self):
@@ -299,11 +314,13 @@ class TestMembership:
 
     def test_zero_inside_violates(self):
         # f = z - 100 z^2 vanishes at z = 0.01: z f'/f has a pole there,
-        # although Re z f'/f stays in [1.98, 2.02] on both circles
-        for radius in (0.99, 0.5):
+        # although Re z f'/f stays in [1.98, 2.02] on both circles.  Grids
+        # of fewer than five samples are refined: three steps of at most
+        # pi/2 cannot sum to 2 pi, and four reach it only at equality
+        for radius, angles in ((0.99, 256), (0.5, 256), (0.5, 1), (0.5, 4)):
             coeffs = np.zeros(audit_min_order(radius, n_max=0) + 1)
             coeffs[1:3] = 1.0, -100.0
-            report = membership_check(TruncatedSeries(coeffs), StripParams(0.0, 2.1), radius, 256)
+            report = membership_check(TruncatedSeries(coeffs), StripParams(0.0, 2.1), radius, angles)
             assert report.verdict == VIOLATED
             assert report.lhs == 0.0
             assert report.context["reason"] == "zero count 1 for f/z inside the circle"
@@ -329,6 +346,16 @@ class TestMembership:
         for coeffs in (zero, nan):
             with pytest.raises(ValueError, match="f/z vanishes or is not finite"):
                 membership_check(TruncatedSeries(coeffs), HALF, 0.5, 64)
+
+    def test_non_finite_excursion_violates(self):
+        # 1500 * 1e306 overflows in z f', not in f at r = 0.5, so f/z winds
+        # 0 times while Re(z f'/f) is NaN; max(0.0, nan) read 0.0, holds
+        coeffs = np.zeros(1501)
+        coeffs[1], coeffs[1500] = 1.0, 1e306
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = membership_check(TruncatedSeries(coeffs), HALF, 0.5, 256)
+        assert report.verdict == VIOLATED
+        assert report.context["reason"] == "non-finite lhs or rhs"
 
     def test_rejects_insufficient_order_for_radius(self):
         f = identity(256)
@@ -366,38 +393,55 @@ class TestConvexityProbe:
 
     def test_zero_of_derivative_inside_violates(self):
         # h' = 1 + 4z vanishes at -1/4, although the ring |z| = 0.9 alone
-        # reads Re(1 + z h''/h') >= 1.78
-        report = convexity_probe(lambda z: z + 2.0 * z * z, 0.9, 256, order=64)
-        assert report.verdict == VIOLATED
-        assert report.context["re_min"] > 1.7
-        assert report.lhs == 0.0
-        assert report.context["reason"] == "zero count 1 for h' inside the circle"
+        # reads Re(1 + z h''/h') >= 1.78; fewer than five samples are
+        # refined, as in the membership audit
+        for angles in (256, 1, 4):
+            report = convexity_probe(lambda z: z + 2.0 * z * z, 0.9, angles, order=64)
+            assert report.verdict == VIOLATED
+            assert report.context["re_min"] > 1.7
+            assert report.lhs == 0.0
+            assert report.context["reason"] == "zero count 1 for h' inside the circle"
 
     def test_one_ring_is_the_disc_minimum(self):
         # minimum principle: Re(1 + z h''/h') is harmonic where h' != 0, so
         # the ring at the radius holds the minimum of 16 rings up to it
         rng = np.random.default_rng(7)
         radius, angles, order = 0.99, 256, 2048
+        z = np.exp(2j * PI * np.arange(angles) / angles)
         for _ in range(2):
             p, d = random_strip_params(rng), random_dorff_param(rng)
-            for h in (
-                lambda z: p_strip_eval(p, z),
-                lambda z: p_hat_eval(p, z),
-                lambda z: dorff_eval(d, z),
-                lambda z: b_tilde_eval(d, z),
-            ):
+            for target, h, integrated in four_maps(p, d):
                 report = convexity_probe(h, radius, angles, order=order)
-                h1 = coeffs_by_circle_sampling(h, order, (1.0 + radius) / 2.0).derivative()
-                h2 = h1.derivative()
-                z = np.exp(2j * PI * np.arange(angles) / angles)
                 rings = min(
-                    float(np.min(np.real(
-                        1.0 + r * z * h2.circle_values(r, angles) / h1.circle_values(r, angles)
-                    )))
+                    float(np.min(convexity_quantity(target, r * z, integrated)))
                     for r in np.linspace(radius / 16, radius, 16)
                 )
                 assert report.verdict == HOLDS
                 assert abs(report.context["re_min"] - rings) < 1e-9
+
+    def test_ring_matches_the_closed_form(self):
+        # every sampled mode is kept: cutting h at `order` coefficients put
+        # re_min up to 2.1e-5 off the closed form at these sizes
+        rng = np.random.default_rng(2024)
+        radius, angles, order = 0.99, 256, 2048
+        z = radius * np.exp(2j * PI * np.arange(angles) / angles)
+        for _ in range(10):
+            p, d = random_strip_params(rng), random_dorff_param(rng)
+            for target, h, integrated in four_maps(p, d):
+                report = convexity_probe(h, radius, angles, order=order)
+                exact = float(np.min(convexity_quantity(target, z, integrated)))
+                assert abs(report.context["re_min"] - exact) < 1e-9
+
+    @pytest.mark.parametrize("radius", [0.3, 0.1])
+    def test_small_radius(self, radius):
+        # the modes are scaled by (radius / sample_radius)**k < 1; scaling
+        # by sample_radius**-k overflowed below radius 0.41 at order 2048
+        z = radius * np.exp(2j * PI * np.arange(64) / 64)
+        with np.errstate(all="raise", under="ignore"):
+            report = convexity_probe(lambda w: p_strip_eval(HALF, w), radius, 64)
+        assert report.verdict == HOLDS
+        exact = float(np.min(convexity_quantity(HALF, z)))
+        assert abs(report.context["re_min"] - exact) < 1e-12
 
     def test_samples_coefficients_midway_to_the_circle(self):
         for radius in (0.5, 0.9):
@@ -426,6 +470,24 @@ class TestReport:
             report = _report(lhs, rhs, 0.0, {})
             assert report.verdict == VIOLATED
             assert "non-finite" in report.context["reason"]
+
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf, -1e-9])
+    def test_rejects_bad_tolerance(self, tolerance):
+        # a NaN tolerance read holds for any lhs, as did an infinite one
+        with pytest.raises(ValueError, match="tolerance"):
+            _report(2.0, 1.0, 0.0, {}, tolerance)
+        with pytest.raises(ValueError, match="tolerance"):
+            membership_check(identity(2048), HALF, 0.99, 256, tolerance=tolerance)
+
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf])
+    def test_sharpness_passes_a_bad_tolerance_on(self, tolerance):
+        # max(tail, nan) is the tail, which hid the NaN
+        with pytest.raises(ValueError, match="tolerance"):
+            sharpness(HALF, 64, tolerance)
+
+    def test_zero_tolerance_is_allowed(self):
+        assert _report(1.0, 1.0, 0.0, {}, 0.0).verdict == HOLDS
+        assert _report(1.0 + 1e-15, 1.0, 0.0, {}, 0.0).verdict == VIOLATED
 
     def test_tail_does_not_widen_the_tolerance(self):
         # the circle audits' radius**order tail (8.1e-7 at the soundness
