@@ -31,12 +31,7 @@ from .maps import (
     p_strip_eval,
 )
 from .polylog import PolylogResult, li4_quadrature, li4_symmetric_circle, polylog
-from .series import (
-    TruncatedSeries,
-    coeffs_by_circle_sampling,
-    log_normalized,
-    series_exp,
-)
+from .series import TruncatedSeries, log_normalized, series_exp
 from .verify import (
     BoundReport,
     audit_member,
@@ -57,7 +52,6 @@ __all__ = [
     "TruncatedSeries",
     "series_exp",
     "log_normalized",
-    "coeffs_by_circle_sampling",
     "PolylogResult",
     "polylog",
     "li4_symmetric_circle",

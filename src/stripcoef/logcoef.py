@@ -60,8 +60,8 @@ class SchwarzSpec:
         if self.kind in (SCALED_ROTATION, POWER):
             if abs(self.c) > 1.0 + 1e-12:
                 raise ValueError("scaling factor must satisfy |c| <= 1")
-            if self.kind == POWER and self.k < 1:
-                raise ValueError("power exponent must be >= 1")
+            if self.kind == POWER and not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
+                raise ValueError("power exponent must be an integer >= 1")
         elif self.kind == BLASCHKE:
             if abs(self.a) >= 1.0:
                 raise ValueError("Blaschke zero must satisfy |a| < 1")

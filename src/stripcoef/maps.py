@@ -202,15 +202,17 @@ def _map_minus_center(target, z):
     the principal log of their ratio is the difference of their logs.
     The ratio is 1 + w with w = (lam2 - lam1) z / (1 - lam2 z); each is
     its own numerator times conj(d) / |d|^2, d = 1 - lam2 z, so neither
-    cancels.  log1p of w where |w| < 1/2; elsewhere |log(1 + w)| >= 0.4,
-    and the log of the ratio keeps its digits.
+    cancels.  lam2 - lam1 is the map's first coefficient over kappa,
+    which ``hat_coeff(1)`` forms without the subtraction that loses the
+    digits of a strip phase near 0 or 1.  log1p of w where |w| < 1/2;
+    elsewhere |log(1 + w)| >= 0.4, and the log of the ratio keeps its digits.
     """
     z = _check_disc(z)
     kappa, lam1, lam2 = target.factors()
     den = 1.0 - lam2 * z
     conj_den = np.conj(den)
     den_sq = den.real * den.real + den.imag * den.imag
-    w = (lam2 - lam1) * z * conj_den / den_sq
+    w = (target.hat_coeff(1) / kappa) * z * conj_den / den_sq
     small = np.abs(w) < 0.5
     # the far points feed log1p a 0, so it meets no |1 + w| near 0
     near = _log1p(np.where(small, w, 0.0))

@@ -93,7 +93,7 @@ def polylog(s: int, z: complex, tol: float = 1e-12) -> PolylogResult:
         raise ValueError("polylog weight s must be an integer >= 2")
     if s > _MAX_WEIGHT:
         raise ValueError(f"polylog weight s must be at most {_MAX_WEIGHT}")
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN too
         raise ValueError("tolerance must be positive")
     z = complex(z)
     absz = abs(z)

@@ -5,13 +5,11 @@ analytic function on the unit disc, truncated at a declared order ``N``
 (coefficient of ``z**k`` at index ``k``).  All operations are formal: the
 exponential and logarithm are computed by coefficient recurrences (the
 exponential by Newton iteration at high order), never pointwise, so no
-branch of ``log`` is ever chosen inside the engine.
+branch of ``log`` is ever chosen inside the engine.  Values on a circle
+are the circle audits' business, in ``verify``.
 """
 
 from __future__ import annotations
-
-import functools
-from collections.abc import Callable
 
 import numpy as np
 
@@ -19,7 +17,6 @@ __all__ = [
     "TruncatedSeries",
     "series_exp",
     "log_normalized",
-    "coeffs_by_circle_sampling",
 ]
 
 # Tolerance for the "normalized" tag (c0 = 0, c1 = 1); the operations on
@@ -62,13 +59,6 @@ class TruncatedSeries:
 
     # -- calculus ----------------------------------------------------------
 
-    def derivative(self) -> TruncatedSeries:
-        """Formal derivative; result order drops by one."""
-        if self.order < 1:
-            raise ValueError("cannot differentiate an order-0 series")
-        k = np.arange(1, self.order + 1)
-        return TruncatedSeries(k * self.coeffs[1:])
-
     def integrate_over_t(self) -> TruncatedSeries:
         """Primitive of g(t)/t from 0: coefficient k becomes g_k / k.
 
@@ -91,13 +81,6 @@ class TruncatedSeries:
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
         return TruncatedSeries(self.coeffs[: order + 1])
-
-    # -- evaluation --------------------------------------------------------
-
-    def circle_values(self, radius: float, angles: int) -> np.ndarray:
-        """Values on :func:`_circle_grid` (radius, angles), by :func:`_fold`;
-        the inverse is :func:`coeffs_by_circle_sampling`."""
-        return _fold(self.coeffs * radius ** np.arange(len(self.coeffs)), angles)
 
     # -- tags --------------------------------------------------------------
 
@@ -232,56 +215,3 @@ def log_normalized(f: TruncatedSeries) -> TruncatedSeries:
         raise ValueError("log_normalized requires a normalized series")
     return TruncatedSeries(_log_one(f.coeffs[1:]))
 
-
-def _fold(modes: np.ndarray, angles: int) -> np.ndarray:
-    """sum_k modes[k] w**k at w = exp(2 pi i j / angles): w**k has period
-    `angles`, so folding modulo it and one inverse FFT are exact."""
-    folded = np.zeros(angles, dtype=complex)
-    for start in range(0, len(modes), angles):
-        chunk = modes[start : start + angles]
-        folded[: len(chunk)] += chunk
-    return np.fft.ifft(folded) * angles
-
-
-# a convexity probe samples on two grids and its callers repeat them
-@functools.lru_cache(maxsize=8)
-def _circle_grid(radius: float, angles: int) -> np.ndarray:
-    """The points radius * exp(2 pi i j / angles), j = 0..angles-1.
-
-    Cached, so the array is read-only: every caller shares it.
-    """
-    grid = radius * np.exp(1j * (2.0 * np.pi * np.arange(angles) / angles))
-    grid.setflags(write=False)
-    return grid
-
-
-def coeffs_by_circle_sampling(
-    eval_fn: Callable,
-    order: int,
-    radius: float,
-    samples: int | None = None,
-) -> TruncatedSeries:
-    """Recover Taylor coefficients of an analytic function by circle sampling.
-
-    Discrete Fourier extraction: c_k ~ r**(-k) * mean over M samples of
-    eval(r e^{i theta_j}) e^{-ik theta_j}, with M >= 4*(order+1); the
-    default M is the first 5-smooth length from 4*(order+1) on, which
-    numpy's FFT handles fast.  `eval_fn` is called once on the whole grid,
-    a read-only array, and must return one value per point.
-    The tests cross-check the closed-form coefficients against them;
-    ``convexity_probe`` samples the same default grid but keeps all M modes.
-    Rounding in the sampled values is amplified by r**(-k) at index k;
-    callers assert their own tolerances.
-    """
-    if not 0.0 < radius < 1.0:
-        raise ValueError("sampling radius must lie in (0, 1)")
-    m = _fft_len(4 * (order + 1)) if samples is None else samples
-    if m < 4 * (order + 1):
-        raise ValueError("need at least 4*(order+1) samples")
-    grid = _circle_grid(radius, m)
-    vals = np.asarray(eval_fn(grid), dtype=complex)
-    if vals.shape != grid.shape:
-        raise ValueError(f"eval_fn returned shape {vals.shape} for a grid of {m} points")
-    coeffs = np.fft.fft(vals)[: order + 1] / m
-    coeffs *= radius ** -np.arange(order + 1)
-    return TruncatedSeries(coeffs)

@@ -10,10 +10,13 @@ bounds no stated quantity, so it is reported but widens nothing.
 
 Negative controls (deliberately violated inputs) are part of the checker
 contracts so the discriminating power of each verdict is itself tested.
+The two circle audits share the circle layer, which lives here alone:
+the cached grid (:func:`_circle_grid`) and the fold (:func:`_fold`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +24,7 @@ import numpy as np
 
 from .logcoef import extremal_gammas, log_coefficients
 from .maps import DorffParam, StripParams
-from .series import TruncatedSeries, _circle_grid, _fft_len, _fold
+from .series import TruncatedSeries, _fft_len
 
 __all__ = [
     "BoundReport",
@@ -160,12 +163,37 @@ def _winding(name: str, values: np.ndarray) -> int | None:
     return round(float(np.sum(steps)) / (2.0 * np.pi))
 
 
+def _fold(modes: np.ndarray, angles: int) -> np.ndarray:
+    """sum_k modes[k] w**k at w = exp(2 pi i j / angles): w**k has period
+    `angles`, so folding modulo it and one inverse FFT are exact.  The
+    rows of the zero-padded modes are summed in order from +0, as a loop
+    over them would."""
+    rows = np.zeros(-(-len(modes) // angles) * angles, dtype=complex)
+    rows[: len(modes)] = modes
+    return np.fft.ifft(rows.reshape(-1, angles).sum(axis=0, initial=0.0)) * angles
+
+
+# a convexity probe samples on two grids and its callers repeat them
+@functools.lru_cache(maxsize=8)
+def _circle_grid(radius: float, angles: int) -> np.ndarray:
+    """The points radius * exp(2 pi i j / angles), j = 0..angles-1.
+
+    Cached, so the array is read-only: every caller shares it.
+    """
+    grid = radius * np.exp(1j * (2.0 * np.pi * np.arange(angles) / angles))
+    grid.setflags(write=False)
+    return grid
+
+
 def _circle_audit(name: str, g, zg, radius: float, angles: int) -> tuple:
     """Re(z g'/g) and g/z on :func:`_circle_grid` (radius, angles), and the
     reason from the zero count of g/z, taken again on a 5-smooth grid of
     >= max(angles, len(g) - 1) points when undersampled.  `g` and `zg` are
     the modes of g and z g' (coefficient k times radius**k).  Raises
-    ValueError where g/z is 0 or not finite, before dividing by g."""
+    ValueError for angles < 1, and where g/z is 0 or not finite, before
+    dividing by g."""
+    if angles < 1:
+        raise ValueError(f"circle audit needs at least 1 angle, got {angles}")
     g_vals = _fold(g, angles)
     g_over_z = g_vals / _circle_grid(radius, angles)
     count = _winding(name, g_over_z)

@@ -1,18 +1,22 @@
 """Reference constructions that only the tests need.
 
 Each gives an independent route to a quantity the package computes in
-closed form: Horner evaluation against ``circle_values``, truncated
-composition against ``generate_member``'s factor logs, the map series
-against circle sampling, and the integrated-map series against the
-pointwise integrated maps and, exponentiated, ``generate_member`` with
-omega(z) = z, and the closed-form Re(1 + z h''/h') against
-``convexity_probe``.
+closed form or by a faster path: Horner evaluation against the circle
+audits' ``verify._fold``, a fold by one slice-and-add per chunk against
+its row sum, truncated composition against ``generate_member``'s factor
+logs, the map series against circle sampling, and the integrated-map
+series against the pointwise integrated maps and, exponentiated,
+``generate_member`` with omega(z) = z, and the closed-form
+Re(1 + z h''/h') against ``convexity_probe``.
 """
+
+from collections.abc import Callable
 
 import numpy as np
 
 from stripcoef.maps import DorffParam, StripParams, a_dorff_coeff, b_strip_coeff
-from stripcoef.series import _NORMALIZED_TOL, TruncatedSeries
+from stripcoef.series import _NORMALIZED_TOL, TruncatedSeries, _fft_len
+from stripcoef.verify import _circle_grid
 
 
 def identity(order: int) -> TruncatedSeries:
@@ -109,3 +113,44 @@ def convexity_quantity(target, z, integrated: bool = False):
     if integrated:
         return np.real(z * m1 / np.log(d1 / d2))
     return np.real(1.0 + z * ((lam2 / d2) ** 2 - (lam1 / d1) ** 2) / m1)
+
+
+def fold_by_chunks(modes: np.ndarray, angles: int) -> np.ndarray:
+    """``verify._fold`` by one slice-and-add per chunk of `angles` modes."""
+    folded = np.zeros(angles, dtype=complex)
+    for start in range(0, len(modes), angles):
+        chunk = modes[start : start + angles]
+        folded[: len(chunk)] += chunk
+    return np.fft.ifft(folded) * angles
+
+
+def coeffs_by_circle_sampling(
+    eval_fn: Callable,
+    order: int,
+    radius: float,
+    samples: int | None = None,
+) -> TruncatedSeries:
+    """Recover Taylor coefficients of an analytic function by circle sampling.
+
+    Discrete Fourier extraction: c_k ~ r**(-k) * mean over M samples of
+    eval(r e^{i theta_j}) e^{-ik theta_j}, with M >= 4*(order+1); the
+    default M is the first 5-smooth length from 4*(order+1) on, which
+    numpy's FFT handles fast.  `eval_fn` is called once on the whole grid,
+    a read-only array, and must return one value per point.
+    The tests cross-check the closed-form coefficients against them;
+    ``convexity_probe`` samples the same default grid but keeps all M modes.
+    Rounding in the sampled values is amplified by r**(-k) at index k;
+    callers assert their own tolerances.
+    """
+    if not 0.0 < radius < 1.0:
+        raise ValueError("sampling radius must lie in (0, 1)")
+    m = _fft_len(4 * (order + 1)) if samples is None else samples
+    if m < 4 * (order + 1):
+        raise ValueError("need at least 4*(order+1) samples")
+    grid = _circle_grid(radius, m)
+    vals = np.asarray(eval_fn(grid), dtype=complex)
+    if vals.shape != grid.shape:
+        raise ValueError(f"eval_fn returned shape {vals.shape} for a grid of {m} points")
+    coeffs = np.fft.fft(vals)[: order + 1] / m
+    coeffs *= radius ** -np.arange(order + 1)
+    return TruncatedSeries(coeffs)

@@ -32,7 +32,7 @@ from stripcoef.maps import (
     p_strip_eval,
 )
 from stripcoef.polylog import li4_quadrature, li4_symmetric_circle, polylog
-from stripcoef.series import TruncatedSeries, coeffs_by_circle_sampling, log_normalized, series_exp
+from stripcoef.series import TruncatedSeries, log_normalized, series_exp
 from stripcoef.verify import (
     EQUALITY,
     VIOLATED,
@@ -43,6 +43,8 @@ from stripcoef.verify import (
     sum_gamma_sq,
     sum_tail,
 )
+
+from oracles import coeffs_by_circle_sampling
 
 PI = np.pi
 

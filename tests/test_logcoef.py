@@ -161,10 +161,19 @@ class TestSchwarzSpec:
             SchwarzSpec("power", c=0.9, k=3),
             SchwarzSpec("blaschke-factor", a=0.5 - 0.2j, phi=1.3),
         ]
+        z = 0.999 * np.exp(2j * PI * np.arange(256) / 256)
         for spec in specs:
             s = schwarz_series(spec, 64)
             assert s.coeffs[0] == 0.0
-            assert np.max(np.abs(s.circle_values(0.999, 256))) < 1.0
+            assert np.max(np.abs(evaluate(s, z))) < 1.0
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2"])
+    def test_power_rejects_non_integer_exponent(self, k):
+        with pytest.raises(ValueError, match="integer"):
+            SchwarzSpec("power", c=0.5, k=k)
+
+    def test_power_accepts_numpy_integer(self):
+        assert SchwarzSpec("power", c=0.5, k=np.int64(3)).k == 3
 
     def test_blaschke_series_matches_pointwise(self):
         a, phi = 0.4 + 0.3j, 0.7

@@ -7,6 +7,7 @@ from stripcoef.maps import (
     DorffParam,
     StripParams,
     _li2,
+    _map_minus_center,
     a_dorff_coeff,
     b_strip_coeff,
     b_tilde_eval,
@@ -14,9 +15,13 @@ from stripcoef.maps import (
     p_hat_eval,
     p_strip_eval,
 )
-from stripcoef.series import coeffs_by_circle_sampling
-
-from oracles import dorff_series, evaluate, hat_series, p_strip_series
+from oracles import (
+    coeffs_by_circle_sampling,
+    dorff_series,
+    evaluate,
+    hat_series,
+    p_strip_series,
+)
 
 PI = np.pi
 HALF = StripParams(0.5, 1.5)  # mu = 1/2
@@ -283,6 +288,25 @@ class TestMapAccuracy:
             exact = np.array([_mp_map(p, x, mpmath) for x in z])
         got = p_strip_eval(p, z) - 1.0
         assert np.all(np.abs(got - exact) <= 2e-11 * np.abs(exact))
+
+    # mu near 1 (1 - mu from 1e-3 to 1e-12) and near 0
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [(-1e3, 1.001), (-1e6, 1.000001), (0.999999, 3.0), (-2.0, 1.0 + 1e-9)]
+        + [(1.0 - (1.0 - nu) / nu, 2.0) for nu in (1e-3, 1e-6, 1e-9, 1e-12)],
+    )
+    def test_strip_map_near_edge_phase_against_mpmath(self, alpha, beta):
+        # lam2 - lam1 by subtraction erred by up to 3e-9 relative here; the
+        # first coefficient over kappa has no cancellation.  p_strip_eval
+        # adds 1, which rounds away the digits of a small map minus 1, so
+        # the map minus its center is compared
+        mpmath = pytest.importorskip("mpmath")
+        p = StripParams(alpha, beta)
+        z = _disc_and_ring(61)
+        with mpmath.workdps(40):
+            exact = np.array([_mp_map(p, x, mpmath) for x in z])
+        got = _map_minus_center(p, z)
+        assert np.all(np.abs(got - exact) <= 1e-14 * np.abs(exact))
 
     @pytest.mark.parametrize("alpha", [-1e3, -1e11])
     def test_strip_coefficients_near_unit_phase_against_mpmath(self, alpha):

@@ -45,6 +45,11 @@ class TestPolylogSeries:
             assert res.tail_bound <= prev_tail
             prev_terms, prev_tail = res.terms_used, res.tail_bound
 
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-12])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            polylog(4, 0.5, tol=tol)
+
     def test_interior_geometric_cutoff(self):
         # well inside the disc far fewer terms suffice than on the circle
         inside = polylog(4, 0.5)

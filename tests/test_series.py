@@ -8,15 +8,21 @@ from stripcoef.maps import DorffParam, StripParams
 from stripcoef.series import (
     _EXP_NEWTON_MIN,
     TruncatedSeries,
-    _circle_grid,
     _exp_newton,
     _exp_recurrence,
-    coeffs_by_circle_sampling,
     log_normalized,
     series_exp,
 )
+from stripcoef.verify import _circle_grid, _fold
 
-from oracles import compose_schwarz, evaluate, hat_series, identity
+from oracles import (
+    coeffs_by_circle_sampling,
+    compose_schwarz,
+    evaluate,
+    fold_by_chunks,
+    hat_series,
+    identity,
+)
 
 
 def _random_normalized(rng, order, scale=0.1):
@@ -29,22 +35,6 @@ def _random_normalized(rng, order, scale=0.1):
 
 
 class TestCalculus:
-    def test_derivative_direct(self):
-        d = TruncatedSeries([0, 1, 1]).derivative()
-        assert np.array_equal(d.coeffs, [1, 2])
-
-    def test_derivative_of_constant(self):
-        d = TruncatedSeries([5, 0]).derivative()
-        assert np.array_equal(d.coeffs, [0])
-
-    def test_derivative_cube(self):
-        d = TruncatedSeries([0, 0, 0, 1]).derivative()
-        assert np.array_equal(d.coeffs, [0, 0, 3])
-
-    def test_derivative_rejects_order_zero(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries([5]).derivative()
-
     def test_integrate_linear(self):
         g = TruncatedSeries([0, 1]).integrate_over_t()
         assert np.array_equal(g.coeffs, [0, 1])
@@ -58,8 +48,8 @@ class TestCalculus:
         integ = g.integrate_over_t()
         assert np.allclose(integ.coeffs, [0, 2, 0, 4 / 3])
         # z * d/dz of the primitive recovers the integrand exactly
-        recovered = integ.derivative().shift()
-        assert np.array_equal(recovered.coeffs, g.coeffs)
+        k = np.arange(len(g.coeffs))
+        assert np.array_equal(k * integ.coeffs, g.coeffs)
 
     def test_integrate_rejects_constant_term(self):
         with pytest.raises(ValueError):
@@ -241,7 +231,24 @@ class TestCircleValues:
         ]
         members = [generate_member(target, spec, 300) for target, spec in specs]
         for f in members:
-            assert np.max(np.abs(f.circle_values(radius, angles) - evaluate(f, z))) < 1e-12
+            modes = f.coeffs * radius ** np.arange(len(f.coeffs))
+            assert np.max(np.abs(_fold(modes, angles) - evaluate(f, z))) < 1e-12
+
+
+class TestFold:
+    # lengths one below, at and one above a multiple of angles, one
+    # shorter than a single row, and 8 641, one above the probe's 8 640 modes
+    @pytest.mark.parametrize("angles", [2, 5, 64, 256, 1024, 8640])
+    def test_bytes_match_chunk_loop(self, angles):
+        rng = np.random.default_rng(angles)
+        for n in (3 * angles - 1, 3 * angles, 3 * angles + 1, angles // 2 + 1, 8641):
+            modes = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            # signed zeros, scattered and filling one residue class: the
+            # loop adds every chunk to +0
+            modes[rng.integers(0, n, size=max(1, n // 4))] = complex(-0.0, -0.0)
+            modes[angles // 2 :: angles] = complex(-0.0, -0.0)
+            got, ref = _fold(modes, angles), fold_by_chunks(modes, angles)
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestCircleGrid:

@@ -367,6 +367,11 @@ class TestMembership:
         with pytest.raises(ValueError):
             membership_check(f, HALF, 0.99, 128)
 
+    @pytest.mark.parametrize("angles", [0, -1])
+    def test_rejects_angles_below_one(self, angles):
+        with pytest.raises(ValueError, match="at least 1 angle"):
+            membership_check(identity(2048), HALF, 0.99, angles)
+
 
 class TestConvexityProbe:
     def test_identity_map_holds(self):
@@ -451,6 +456,11 @@ class TestConvexityProbe:
     def test_flags_vanishing_derivative(self):
         with pytest.raises(ValueError):
             convexity_probe(lambda z: z * z, 0.9, 64, order=64)
+
+    @pytest.mark.parametrize("angles", [0, -1])
+    def test_rejects_angles_below_one(self, angles):
+        with pytest.raises(ValueError, match="at least 1 angle"):
+            convexity_probe(lambda z: z, 0.9, angles, order=64)
 
 
 class TestReferenceConstants:
