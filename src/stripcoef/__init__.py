@@ -47,6 +47,11 @@ from .verify import (
     sum_tail,
 )
 
+# after numpy, whose import already loaded ctypes
+from . import _heap
+
+_heap.keep_freed_heap()
+
 __all__ = [
     "__version__",
     "TruncatedSeries",

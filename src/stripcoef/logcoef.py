@@ -106,7 +106,7 @@ def koebe_rotation(eps: complex, order: int) -> tuple[TruncatedSeries, np.ndarra
     like 1/n.
     """
     eps = complex(eps)
-    if abs(abs(eps) - 1.0) > 1e-12:
+    if not abs(abs(eps) - 1.0) <= 1e-12:  # NaN fails the test too
         raise ValueError("Koebe rotation requires |eps| = 1")
     if order < 2:
         raise ValueError("order must be at least 2")

@@ -102,7 +102,8 @@ def series_exp(a: TruncatedSeries) -> TruncatedSeries:
     O(N log N).  Newton can lose every digit on large coefficients, so the
     recurrence recomputes any Newton result whose residual is above
     ``_EXP_RESIDUAL_MAX`` or NaN, as it is when Newton overflows.
-    Restricting to a_0 = 0 keeps the result branch-free.
+    Restricting to a_0 = 0 keeps the result branch-free.  Raises
+    ValueError when the coefficients of exp(a) do not fit in a double.
     """
     if abs(a.coeffs[0]) > _NORMALIZED_TOL:
         raise ValueError("series_exp requires a vanishing constant term")
@@ -114,7 +115,12 @@ def series_exp(a: TruncatedSeries) -> TruncatedSeries:
             residual = _exp_residual(a.coeffs, e)
         if residual <= _EXP_RESIDUAL_MAX:  # False for NaN
             return TruncatedSeries(e)
-    return TruncatedSeries(_exp_recurrence(a.coeffs))
+    # an overflow leaves an infinity, and NaNs after it, in the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = _exp_recurrence(a.coeffs)
+    if not np.isfinite(e).all():
+        raise ValueError("coefficients of the exponential overflow a double")
+    return TruncatedSeries(e)
 
 
 def _exp_recurrence(a: np.ndarray) -> np.ndarray:

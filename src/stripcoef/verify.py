@@ -217,6 +217,8 @@ def rogosinski_check(sub, dom, k_max: int, tolerance: float = TOLERANCE_FLOOR) -
     Reports the worst K.  Identical sequences verdict as equality; a
     genuine excess, or a NaN in either sequence, verdicts as violated.
     """
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
     sub = np.asarray(sub, dtype=complex)[:k_max]
     dom = np.asarray(dom, dtype=complex)[:k_max]
     if len(sub) < k_max or len(dom) < k_max:

@@ -174,6 +174,19 @@ class TestCheckMembershipCommand:
             "kind": "value",
         }
 
+    @pytest.mark.parametrize("seed", ["2", "3"])
+    def test_overflowing_member_is_value_error(self, seed, capsys):
+        # the drawn member's coefficients do not fit in a double; the
+        # recurrence's overflow once ended as an internal error
+        argv = ["check-membership", "--alpha=-1e3", "--beta", "1e3", "--samples", "2"]
+        assert main([*argv, "--order", "1500", "--seed", seed]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "coefficients of the exponential overflow a double",
+            "kind": "value",
+        }
+
     def test_determinism_byte_identical(self):
         args = (
             "check-membership", "--delta", "2.2",

@@ -153,6 +153,12 @@ class TestKoebe:
         with pytest.raises(ValueError):
             koebe_rotation(0.5, 8)
 
+    # a NaN modulus once passed the |eps| = 1 test and gave NaN series
+    @pytest.mark.parametrize("eps", [complex("nan"), complex(1.0, np.nan), np.inf], ids=repr)
+    def test_rejects_non_finite(self, eps):
+        with pytest.raises(ValueError, match=r"\|eps\| = 1"):
+            koebe_rotation(eps, 8)
+
 
 class TestSchwarzSpec:
     def test_families_are_schwarz(self):

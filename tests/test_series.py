@@ -150,6 +150,15 @@ class TestExpNewton:
         got = series_exp(a).coeffs
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("order", [100, 1500])
+    def test_overflow_is_a_value_error(self, order):
+        # exp(c z) has coefficients c^k / k!, beyond a double from here
+        # on: at order 100 on the recurrence path, at 1500 after Newton
+        a = np.zeros(order + 1, dtype=complex)
+        a[1] = 1e5 if order < _EXP_NEWTON_MIN else 1e3
+        with pytest.raises(ValueError, match="overflow"):
+            series_exp(TruncatedSeries(a))
+
     def test_matches_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
         order = 512

@@ -266,6 +266,11 @@ class TestRogosinski:
         with pytest.raises(ValueError):
             rogosinski_check([1.0], [1.0, 2.0], 2)
 
+    @pytest.mark.parametrize("k_max", [0, -1])
+    def test_rejects_empty_window(self, k_max):
+        with pytest.raises(ValueError, match="k_max"):
+            rogosinski_check([1.0], [1.0], k_max)
+
     @pytest.mark.parametrize("side", ["sub", "dom"])
     def test_nan_is_violated(self, side):
         # every comparison with NaN is false, which once read as holds
