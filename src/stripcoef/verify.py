@@ -24,7 +24,7 @@ import numpy as np
 
 from .logcoef import extremal_gammas, log_coefficients
 from .maps import DorffParam, StripParams
-from .series import TruncatedSeries, _fft_len
+from .series import TruncatedSeries, _fft_len, _require_order
 
 __all__ = [
     "BoundReport",
@@ -132,8 +132,7 @@ def sum_tail(target, order: int) -> float:
     integral test bounds the sum: C^2/(3 N^3) when C/B <= N, else
     B^2 (1/N - 1/k) + C^2/(3 k^3) with k = floor(C/B).  Requires order >= 1.
     """
-    if order < 1:
-        raise ValueError("tail order must be at least 1")
+    _require_order(order, 1)
     c = target.tail_constant
     b = target.per_n_bound(1)
     if c <= b * order:

@@ -4,7 +4,9 @@ Each gives an independent route to a quantity the package computes in
 closed form or by a faster path: Horner evaluation against the circle
 audits' ``verify._fold``, a fold by one slice-and-add per chunk against
 its row sum, truncated composition against ``generate_member``'s factor
-logs, the map series against circle sampling, and the integrated-map
+logs, the power-family member built at full order against
+``generate_member``'s k-th root transform, the map series against
+circle sampling, and the integrated-map
 series against the pointwise integrated maps and, exponentiated,
 ``generate_member`` with omega(z) = z, and the closed-form
 Re(1 + z h''/h') against ``convexity_probe``.
@@ -14,8 +16,9 @@ from collections.abc import Callable
 
 import numpy as np
 
+from stripcoef.logcoef import _powers
 from stripcoef.maps import DorffParam, StripParams, a_dorff_coeff, b_strip_coeff
-from stripcoef.series import _NORMALIZED_TOL, TruncatedSeries, _fft_len
+from stripcoef.series import _NORMALIZED_TOL, TruncatedSeries, _fft_len, series_exp
 from stripcoef.verify import _circle_grid
 
 
@@ -76,6 +79,24 @@ def schwarz_series(spec, order: int) -> TruncatedSeries:
             w[2:] += (-abar) ** (n[1:] - 2)
         w[1:] *= rot
     return TruncatedSeries(w)
+
+
+def log_one_minus_strided(lam: complex, spec, order: int) -> np.ndarray:
+    """log(1 - lam c z^k) up to `order` in z: -(lam c)^m / m at every
+    k-th coefficient, as ``logcoef._log_one_minus`` formed it for the
+    power family before ``generate_member`` took the k-th root transform."""
+    out = np.zeros(order + 1, dtype=complex)
+    m = np.arange(1, order // spec.k + 1)
+    out[spec.k * m] = -_powers(lam * spec.c, m) / m
+    return out
+
+
+def power_member_full_order(target, spec, order: int) -> TruncatedSeries:
+    """``generate_member`` for omega = c z^k with ``series_exp`` at order - 1."""
+    kappa, lam1, lam2 = target.factors()
+    logs = [log_one_minus_strided(lam, spec, order - 1) for lam in (lam1, lam2)]
+    q_minus_1 = kappa * (logs[0] - logs[1])
+    return series_exp(TruncatedSeries(q_minus_1).integrate_over_t()).shift()
 
 
 def _series(c0: complex, coeffs: np.ndarray) -> TruncatedSeries:

@@ -240,6 +240,18 @@ class TestGenerateCommand:
         got = np.array([complex(float(r["re"]), float(r["im"])) for r in rows])
         assert np.max(np.abs(got - f.coeffs)) < 1e-16
 
+    def test_power_member_is_zero_off_the_stride(self):
+        # z E(z^3): Newton at the full order printed 1 291 values up to 7.9e-19 here
+        proc = run_cli(
+            "generate", "--alpha", "-0.7", "--beta", "2.9",
+            "--schwarz", "power", "--c-re", "0.6", "--k", "3", "--order", "2000",
+        )
+        assert proc.returncode == 0
+        rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+        assert len(rows) == 2001
+        off = [r for r in rows if (int(r["n"]) - 1) % 3 != 0]
+        assert all(r["re"] == "0" and r["im"] == "0" for r in off)
+
     def test_seeded_random_member(self):
         a = run_cli("generate", "--delta", "2.0", "--order", "8", "--seed", "3")
         b = run_cli("generate", "--delta", "2.0", "--order", "8", "--seed", "3")

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from stripcoef.logcoef import (
     SchwarzSpec,
     _log_one_minus,
+    _powers,
     extremal_gammas,
     generate_member,
     koebe_rotation,
@@ -21,6 +24,7 @@ from oracles import (
     hat_series,
     identity,
     p_strip_series,
+    power_member_full_order,
     schwarz_series,
 )
 
@@ -28,6 +32,27 @@ PI = np.pi
 HALF = StripParams(0.5, 1.5)
 RIGHT = DorffParam(PI / 2.0)
 ID = SchwarzSpec.identity()
+# a float, NaN or infinity (rounded or compared wrong) and a bool
+# (an int to isinstance); an integer-valued float is refused as well
+BAD_ORDERS = [100.5, 300.0, float("nan"), float("inf"), True]
+
+
+class TestOrderArgument:
+    @pytest.mark.parametrize("order", BAD_ORDERS, ids=repr)
+    def test_rejects_non_integer_order(self, order):
+        for call in (
+            lambda: generate_member(HALF, SchwarzSpec("power", c=0.5, k=3), order),
+            lambda: extremal_gammas(HALF, order),
+            lambda: koebe_rotation(1.0, order),
+        ):
+            with pytest.raises(ValueError, match="order"):
+                call()
+
+    def test_accepts_numpy_integer_order(self):
+        order = np.int64(300)
+        assert generate_member(HALF, ID, order).order == 300
+        assert extremal_gammas(HALF, order).shape == (300,)
+        assert koebe_rotation(1.0, order)[0].order == 300
 
 
 class TestLogCoefficients:
@@ -173,13 +198,17 @@ class TestSchwarzSpec:
             assert s.coeffs[0] == 0.0
             assert np.max(np.abs(evaluate(s, z))) < 1.0
 
-    @pytest.mark.parametrize("k", [2.5, 2.0, "2"])
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2", True])
     def test_power_rejects_non_integer_exponent(self, k):
         with pytest.raises(ValueError, match="integer"):
             SchwarzSpec("power", c=0.5, k=k)
 
     def test_power_accepts_numpy_integer(self):
-        assert SchwarzSpec("power", c=0.5, k=np.int64(3)).k == 3
+        spec = SchwarzSpec("power", c=0.5, k=np.int64(3))
+        assert spec.k == 3
+        # the record is for json, which refuses numpy's int64
+        assert json.loads(json.dumps(spec.describe()))["k"] == 3
+        assert type(spec.describe()["k"]) is int
 
     def test_blaschke_series_matches_pointwise(self):
         a, phi = 0.4 + 0.3j, 0.7
@@ -219,9 +248,7 @@ def _log_one_minus_by_power(lam, w, order):
     out = np.zeros(order + 1, dtype=complex)
     n = np.arange(1, order + 1)
     if w.kind != "blaschke-factor":
-        step = w.k if w.kind == "power" else 1
-        m = np.arange(1, order // step + 1)
-        out[step * m] = -np.power(lam * w.c, m) / m
+        out[1:] = -np.power(lam * w.c, n) / n
         return out
     rot = np.exp(1j * w.phi)
     abar = np.conj(w.a)
@@ -235,7 +262,7 @@ class TestLogOneMinus:
         "spec",
         [
             SchwarzSpec("scaled-rotation", c=np.exp(0.3j)),  # |r| = 1
-            SchwarzSpec("power", c=0.6 - 0.5j, k=3),  # |r| < 1
+            SchwarzSpec("scaled-rotation", c=0.6 - 0.5j),  # |r| < 1
             SchwarzSpec("blaschke-factor", a=0.0, phi=1.1),  # a = 0: one exact zero power
             SchwarzSpec("blaschke-factor", a=0.7 * np.exp(2j), phi=0.5),
         ],
@@ -248,6 +275,37 @@ class TestLogOneMinus:
                 ref = _log_one_minus_by_power(lam, spec, 14000)
                 assert np.all(np.isfinite(got))
                 assert np.max(np.abs(got - ref)) <= 1e-14
+
+
+class TestPowers:
+    @pytest.mark.parametrize("modulus", [1.0, 0.999, 0.5])
+    @pytest.mark.parametrize("angle", [0.3, 2.9, -1.7, PI])
+    def test_against_mpmath(self, modulus, angle):
+        # the two-level table's relative error, like np.power's, stays
+        # below n eps max(1, |log r|)
+        mpmath = pytest.importorskip("mpmath")
+        r = complex(modulus * np.exp(1j * angle))
+        n = np.arange(1, 14020)
+        got = _powers(r, n)
+        with mpmath.workdps(30):
+            x, p, exact = mpmath.mpc(r.real, r.imag), mpmath.mpc(1), []
+            for _ in n:
+                p *= x
+                exact.append(p)
+        normal = np.array([abs(v) >= np.finfo(float).tiny for v in exact])
+        exact = np.array([complex(v) for v in exact])
+        err = np.abs(got - exact)[normal] / np.abs(exact[normal])
+        bound = n[normal] * np.finfo(float).eps * max(1.0, abs(np.log(r)))
+        assert np.all(err <= bound)
+        assert np.array_equal(got[:99], np.power(r, n[:99]))
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 99, 100, 101, 143, 144, 145])
+    def test_table_lengths(self, count):
+        # the table is isqrt(count) columns wide; every length fills it
+        n = np.arange(1, count + 1)
+        got = _powers(0.9 * np.exp(0.4j), n)
+        assert got.shape == (count,)
+        assert np.allclose(got, np.power(0.9 * np.exp(0.4j), n), rtol=1e-13, atol=0.0)
 
 
 class TestGenerateMember:
@@ -283,6 +341,34 @@ class TestGenerateMember:
             expected = series_exp(q_minus_1).shift().truncate(order)
             got = generate_member(p, spec, order)
             assert np.max(np.abs(got.coeffs - expected.coeffs[: order + 1])) < 1e-10
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_power_member_matches_full_order(self, k):
+        # the k-th root transform at order (order - 1) // k against the
+        # member built at the full order
+        for target in (StripParams(-1.9, 3.8), DorffParam(3.0)):
+            for c in (1.0, 0.6 - 0.5j, np.exp(2.1j)):
+                spec = SchwarzSpec("power", c=c, k=k)
+                for order in (k + 1, 320 * k - 1, 320 * k + 1, 14020):
+                    got = generate_member(target, spec, order).coeffs
+                    ref = power_member_full_order(target, spec, order).coeffs
+                    scale = max(1.0, np.max(np.abs(ref)))
+                    assert np.max(np.abs(got - ref)) <= 1e-15 * scale, (target, c, order)
+
+    def test_power_member_is_zero_off_the_stride(self):
+        # Newton at the full order left 1 291 coefficients up to 7.9e-19 here
+        spec = SchwarzSpec("power", c=0.6, k=3)
+        f = generate_member(StripParams(-0.7, 2.9), spec, 2000).coeffs
+        off = np.ones(2001, dtype=bool)
+        off[1::3] = False
+        assert np.all(f[off] == 0.0)
+        assert np.all(f[1::3] != 0.0)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_power_member_below_the_first_term_is_z(self, k):
+        for order in range(2, k + 1):
+            g = generate_member(HALF, SchwarzSpec("power", c=0.9j, k=k), order)
+            assert np.array_equal(g.coeffs, identity(order).coeffs)
 
     def test_power_member_rogosinski_partial_sums(self):
         g = generate_member(HALF, SchwarzSpec("power", c=1.0, k=2), 256)

@@ -22,6 +22,7 @@ from oracles import (
     fold_by_chunks,
     hat_series,
     identity,
+    log_one_minus_strided,
 )
 
 
@@ -110,14 +111,14 @@ _SPECS = (
 
 
 def _exponents(order):
-    """The series generate_member exponentiates, z f'/f = q, at `order`."""
+    """z f'/f - 1 = q - 1 of the members, at `order`; the power member's
+    at the full order, nonzero at every third coefficient only."""
     out = []
     for target in _TARGETS:
         kappa, lam1, lam2 = target.factors()
         for spec in _SPECS:
-            q_minus_1 = kappa * (
-                _log_one_minus(lam1, spec, order) - _log_one_minus(lam2, spec, order)
-            )
+            logs = log_one_minus_strided if spec.kind == "power" else _log_one_minus
+            q_minus_1 = kappa * (logs(lam1, spec, order) - logs(lam2, spec, order))
             out.append(TruncatedSeries(q_minus_1))
     return out
 

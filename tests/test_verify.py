@@ -240,6 +240,12 @@ class TestSumTail:
         with pytest.raises(ValueError, match="order"):
             sum_tail(HALF, 0)
 
+    @pytest.mark.parametrize("order", [100.5, float("nan"), float("inf"), True], ids=repr)
+    def test_rejects_non_integer_order(self, order):
+        # NaN returned NaN and infinity 0.0
+        with pytest.raises(ValueError, match="order"):
+            sum_tail(HALF, order)
+
 
 class TestRogosinski:
     def test_equality_for_identical_sequences(self):
@@ -532,6 +538,12 @@ class TestSharpness:
         report = sharpness(target)
         assert report.verdict == EQUALITY
         assert report.tail_estimate < 1e-4
+
+    @pytest.mark.parametrize("order", [100.5, float("nan"), float("inf"), True], ids=repr)
+    def test_rejects_non_integer_order(self, order):
+        # order 100.5 read holds-with-equality with the float in its context
+        with pytest.raises(ValueError, match="order"):
+            sharpness(HALF, order)
 
     def test_builds_no_extremal_series(self, monkeypatch):
         def no_series(_):
