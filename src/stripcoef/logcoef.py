@@ -5,10 +5,11 @@ are defined by log(f(z)/z) = sum 2 gamma_n z^n.  This module extracts
 them from truncated series, gives the closed-form gammas of the extremal
 functions that attain the sharp coefficient-sum bounds of both strip
 classes, and generates class members by subordinating the target map
-with one of three analytically safe Schwarz families (so every
-precondition is provable, never sampled).  The extremal function itself
-is the member with omega(z) = z: ``generate_member(target,
-SchwarzSpec.identity(), order)``.
+through a closed-form Schwarz function omega(z) = s u B(u) at u = z^k,
+with |s| <= 1 and B a finite Blaschke product (so every precondition is
+provable, never sampled).  The extremal function itself is the member
+with omega(z) = z: ``generate_member(target, SchwarzSpec.identity(),
+order)``.
 """
 
 from __future__ import annotations
@@ -39,11 +40,16 @@ BLASCHKE = "blaschke-factor"
 
 @dataclass(frozen=True)
 class SchwarzSpec:
-    """One of three closed-form Schwarz functions (omega(0) = 0, |omega| < 1).
+    """A closed-form Schwarz function (omega(0) = 0, |omega| < 1).
 
-    * scaled-rotation: omega(z) = c z, |c| <= 1
-    * power:           omega(z) = c z**k, |c| <= 1, k >= 1
-    * blaschke-factor: omega(z) = e^{i phi} z (z + a) / (1 + conj(a) z), |a| < 1
+    Every kind is one form, omega(z) = s u B(u) at u = z**k, where
+    |s| <= 1, k >= 1 and B(u) = prod_j (u + a_j) / (1 + conj(a_j) u) is
+    a finite Blaschke product with zeros |a_j| < 1 (Garnett, *Bounded
+    Analytic Functions*, ch. I).  Each kind reads only its own fields:
+
+    * scaled-rotation: omega(z) = c z                  (s = c, k = 1, no zeros)
+    * power:           omega(z) = c z**k               (s = c, no zeros)
+    * blaschke-factor: omega(z) = e^{i phi} z B(z)     (s = e^{i phi}, k = 1, zero a)
     """
 
     kind: str
@@ -57,20 +63,21 @@ class SchwarzSpec:
             value = complex(getattr(self, name))
             if not (math.isfinite(value.real) and math.isfinite(value.imag)):
                 raise ValueError(f"Schwarz parameter {name} must be finite")
-        if self.kind in (SCALED_ROTATION, POWER):
-            if abs(self.c) > 1.0 + 1e-12:
-                raise ValueError("scaling factor must satisfy |c| <= 1")
-            if self.kind == POWER and (
-                isinstance(self.k, bool)
-                or not isinstance(self.k, (int, np.integer))
-                or self.k < 1
-            ):
-                raise ValueError("power exponent must be an integer >= 1")
-        elif self.kind == BLASCHKE:
-            if abs(self.a) >= 1.0:
-                raise ValueError("Blaschke zero must satisfy |a| < 1")
-        else:
+        if self.kind not in (SCALED_ROTATION, POWER, BLASCHKE):
             raise ValueError(f"unknown Schwarz family {self.kind!r}")
+        s, k, zeros = self._form()
+        if abs(s) > 1.0 + 1e-12:
+            raise ValueError("scaling factor must satisfy |c| <= 1")
+        _require_order(k, 1, "power exponent")
+        if any(abs(a) >= 1.0 for a in zeros):
+            raise ValueError("Blaschke zero must satisfy |a| < 1")
+
+    def _form(self) -> tuple[complex, int, tuple[complex, ...]]:
+        """(s, k, zeros) of omega(z) = s u B(u) at u = z**k: the one place
+        that maps a kind to omega."""
+        if self.kind == BLASCHKE:
+            return np.exp(1j * self.phi), 1, (self.a,)
+        return self.c, self.k if self.kind == POWER else 1, ()
 
     @classmethod
     def identity(cls) -> SchwarzSpec:
@@ -119,33 +126,43 @@ def koebe_rotation(eps: complex, order: int) -> tuple[TruncatedSeries, np.ndarra
     return TruncatedSeries(coeffs), gammas
 
 
-def _log_one_minus(lam: complex, w: SchwarzSpec, order: int) -> np.ndarray:
-    """Coefficients of log(1 - lam * omega(z)) up to `order`, exactly.
+def _log_one_minus(lam: complex, s: complex, zeros: tuple, order: int) -> np.ndarray:
+    """Coefficients of log(1 - lam s u B(u)) in u up to `order`, exactly,
+    for B the Blaschke product with `zeros` (:class:`SchwarzSpec`).
 
-    For each Schwarz family 1 - lam*omega is a ratio of polynomials of
-    degree <= 2 in z, so the log splits into closed-form logs of linear
-    and quadratic factors: log(1 - r z) contributes -r^n/n, and a
-    quadratic contributes the power sums of its inverse roots.  All the
-    inverse roots have modulus <= 1 here (omega maps the disc into
-    itself and |lam| = 1), so the power sums stay bounded.  The power
-    family is taken as omega(z) = c z, in the variable z^k:
-    :func:`generate_member` builds its members from that series.
+    1 - lam s u B(u) = P(u) / prod_j (1 + conj(a_j) u) with P(0) = 1, so
+    the log is sum_j log(1 + conj(a_j) u) - sum_i log(1 - r_i u), and
+    coefficient n is (sum_j (-conj(a_j))^n - sum_i r_i^n) / n.  The r_i,
+    the inverse roots of P, are the roots of
+    u prod_j (u + conj(a_j)) - lam s prod_j (a_j u + 1); with no zeros,
+    the one root lam s.  All have modulus <= 1 (omega maps the disc into
+    itself and |lam| = 1), so the power sums stay bounded.
     """
-    out = np.zeros(order + 1, dtype=complex)
+    ls = lam * s
+    # lam s multiplies each coefficient as a scalar: numpy's vectorised
+    # complex product rounds differently, and np.roots can then swap roots
+    tops, bottoms = _symmetric_sums([np.conj(a) for a in zeros]), _symmetric_sums(zeros)
+    poly = [1.0, *(t - ls * b for t, b in zip(tops, reversed(bottoms))), -ls]
     n = np.arange(1, order + 1)
-    if w.kind in (SCALED_ROTATION, POWER):
-        factor = lam * w.c
-        if factor != 0.0:
-            out[1:] = -_powers(factor, n) / n
-        return out
-    rot = np.exp(1j * w.phi)
-    abar = np.conj(w.a)
-    # 1 - lam*omega = (1 + b z + c2 z^2) / (1 + abar z)
-    b = abar - lam * rot * w.a
-    c2 = -lam * rot
-    r1, r2 = np.roots([1.0, b, c2])
-    out[1:] = (_powers(-abar, n) - _powers(r1, n) - _powers(r2, n)) / n
+    out = np.zeros(order + 1, dtype=complex)
+    for a in zeros:
+        out[1:] += _powers(-np.conj(a), n)
+    for r in np.roots(poly):
+        out[1:] -= _powers(r, n)
+    out[1:] /= n
     return out
+
+
+def _symmetric_sums(xs) -> list:
+    """e_1..e_m of xs, so prod_j (u + x_j) = u^m + e_1 u^(m-1) + ... + e_m.
+
+    A lone x is its own e_1, not x times 1, which can flip the sign of a
+    zero part and with it the branch of the log in :func:`_powers`.
+    """
+    e = []
+    for x in xs:
+        e = [p + q for p, q in zip([*e, 0.0], [x, *(x * v for v in e)])] if e else [x]
+    return e
 
 
 def _powers(r: complex, n: np.ndarray) -> np.ndarray:
@@ -180,16 +197,18 @@ def generate_member(target, w: SchwarzSpec, order: int) -> TruncatedSeries:
     reproduces the extremal function; with omega = 0 it returns the
     identity map z.
 
-    For omega = c z^k, f(z) = z E(z^k) is the k-th root transform of the
-    member E for omega = c z: q - 1 is formed for c z at order
-    (order - 1) // k, its integral divided by k, and E_j written to
-    coefficient 1 + jk.  Every other coefficient is an exact 0.
+    Omega depends on z only through u = z^k, so f(z) = z E(z^k) is the
+    k-th root transform of the member E for omega_0(u) = s u B(u): q - 1
+    is formed in u at order (order - 1) // k, its integral divided by k,
+    and E_j written to coefficient 1 + jk.  Every other coefficient is an
+    exact 0.
     """
     _require_order(order, 2)
-    step = w.k if w.kind == POWER else 1
+    scale, step, zeros = w._form()
     kappa, lam1, lam2 = target.factors()
     m = (order - 1) // step
-    q_minus_1 = kappa * (_log_one_minus(lam1, w, m) - _log_one_minus(lam2, w, m))
+    logs = [_log_one_minus(lam, scale, zeros, m) for lam in (lam1, lam2)]
+    q_minus_1 = kappa * (logs[0] - logs[1])
     a = TruncatedSeries(q_minus_1).integrate_over_t().coeffs / step
     coeffs = np.zeros(order + 1, dtype=complex)
     coeffs[1::step] = series_exp(TruncatedSeries(a)).coeffs

@@ -33,16 +33,18 @@ _EXP_NEWTON_BASE = 64
 _EXP_RESIDUAL_MAX = 1e-13
 
 
-def _require_order(order, least: int) -> None:
-    """Raise ValueError naming the order unless it is an integer >= `least`.
+def _require_order(value, least: int, name: str = "order") -> int:
+    """`value` as a Python int; ValueError naming it unless it is an
+    integer >= `least`.
 
-    Python and numpy integers pass; a bool, a float (NaN and infinity
-    too) or anything else is refused rather than rounded or compared.
+    The one rule for every size argument (an order, a number of angles,
+    an exponent).  Python and numpy integers pass; a bool, a float (NaN
+    and infinity too) or anything else is refused rather than rounded or
+    compared.
     """
-    if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
-        raise ValueError(f"order must be an integer, got {order!r}")
-    if order < least:
-        raise ValueError(f"order must be at least {least}")
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}")
+    return int(value)
 
 
 class TruncatedSeries:

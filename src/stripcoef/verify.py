@@ -188,11 +188,9 @@ def _circle_audit(name: str, g, zg, radius: float, angles: int) -> tuple:
     """Re(z g'/g) and g/z on :func:`_circle_grid` (radius, angles), and the
     reason from the zero count of g/z, taken again on a 5-smooth grid of
     >= max(angles, len(g) - 1) points when undersampled.  `g` and `zg` are
-    the modes of g and z g' (coefficient k times radius**k).  Raises
-    ValueError for angles < 1, and where g/z is 0 or not finite, before
-    dividing by g."""
-    if angles < 1:
-        raise ValueError(f"circle audit needs at least 1 angle, got {angles}")
+    the modes of g and z g' (coefficient k times radius**k); `angles` is
+    a Python int >= 1 (:func:`series._require_order`).  Raises ValueError
+    where g/z is 0 or not finite, before dividing by g."""
     g_vals = _fold(g, angles)
     g_over_z = g_vals / _circle_grid(radius, angles)
     count = _winding(name, g_over_z)
@@ -216,8 +214,7 @@ def rogosinski_check(sub, dom, k_max: int, tolerance: float = TOLERANCE_FLOOR) -
     Reports the worst K.  Identical sequences verdict as equality; a
     genuine excess, or a NaN in either sequence, verdicts as violated.
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be at least 1, got {k_max}")
+    k_max = _require_order(k_max, 1, "k_max")
     sub = np.asarray(sub, dtype=complex)[:k_max]
     dom = np.asarray(dom, dtype=complex)[:k_max]
     if len(sub) < k_max or len(dom) < k_max:
@@ -250,6 +247,7 @@ def membership_check(
     z f'/f is undefined.
     """
     _check_order(f, radius, 0)
+    angles = _require_order(angles, 1, "angles")
     if not f.is_normalized():
         raise ValueError("membership audit requires a normalized series")
     lower, upper = target.lower, target.upper
@@ -286,8 +284,8 @@ def convexity_probe(h, radius: float, angles: int, order: int = 2048) -> BoundRe
     """
     if not 0.0 < radius < 1.0:
         raise ValueError("radius must lie in (0, 1)")
-    if order < 1:
-        raise ValueError("probe order must be at least 1")
+    order = _require_order(order, 1)
+    angles = _require_order(angles, 1, "angles")
     sample_radius = (1.0 + radius) / 2.0
     m = _fft_len(4 * (order + 1))
     grid = _circle_grid(sample_radius, m)
@@ -338,7 +336,7 @@ def sharpness(target, order: int = 4096, tolerance: float = TOLERANCE_FLOOR) -> 
     """
     partial = sum_gamma_sq(extremal_gammas(target, order))
     tail = sum_tail(target, order)
-    context = {**target.describe(), "order": order}
+    context = {**target.describe(), "order": int(order)}
     # tolerance first: max(tail, nan) is the tail, which would hide the NaN
     tol = max(tolerance, tail)
     return _report(partial, target.sum_bound(), tail, context, tol, equality_applicable=True)

@@ -252,6 +252,16 @@ class TestGenerateCommand:
         off = [r for r in rows if (int(r["n"]) - 1) % 3 != 0]
         assert all(r["re"] == "0" and r["im"] == "0" for r in off)
 
+    def test_blaschke_factor_ignores_c(self):
+        # each kind reads only its own fields: |c| = 1.5 is no error here
+        args = [
+            "generate", "--alpha", "-0.7", "--beta", "2.9", "--schwarz", "blaschke-factor",
+            "--a-re", "0.4", "--a-im", "0.2", "--phi", "1.0", "--order", "400",
+        ]
+        plain, with_c = run_cli(*args), run_cli(*args, "--c-re", "1.5")
+        assert with_c.returncode == 0
+        assert (with_c.stdout, with_c.stderr) == (plain.stdout, plain.stderr)
+
     def test_seeded_random_member(self):
         a = run_cli("generate", "--delta", "2.0", "--order", "8", "--seed", "3")
         b = run_cli("generate", "--delta", "2.0", "--order", "8", "--seed", "3")

@@ -230,6 +230,18 @@ class TestSchwarzSpec:
         with pytest.raises(ValueError):
             SchwarzSpec("unknown-kind")
 
+    def test_each_kind_reads_only_its_own_fields(self):
+        # the CLI passes k=2 to every kind and c=1 to the Blaschke factor
+        for target in (HALF, DorffParam(2.0)):
+            ref = generate_member(target, SchwarzSpec("scaled-rotation", c=0.5), 300).coeffs
+            for k in (0, 7):
+                spec = SchwarzSpec("scaled-rotation", c=0.5, k=k)
+                assert generate_member(target, spec, 300).coeffs.tobytes() == ref.tobytes()
+            spec = SchwarzSpec("blaschke-factor", a=0.3, phi=1.0)
+            ref = generate_member(target, spec, 300).coeffs
+            spec = SchwarzSpec("blaschke-factor", c=5.0, k=3, a=0.3, phi=1.0)
+            assert generate_member(target, spec, 300).coeffs.tobytes() == ref.tobytes()
+
     def test_non_finite_parameters_rejected(self):
         nan, inf = float("nan"), float("inf")
         for make in (
@@ -265,13 +277,15 @@ class TestLogOneMinus:
             SchwarzSpec("scaled-rotation", c=0.6 - 0.5j),  # |r| < 1
             SchwarzSpec("blaschke-factor", a=0.0, phi=1.1),  # a = 0: one exact zero power
             SchwarzSpec("blaschke-factor", a=0.7 * np.exp(2j), phi=0.5),
+            SchwarzSpec("power", c=np.exp(2.1j), k=3),  # in u = z^3
         ],
     )
     def test_matches_power_form(self, spec):
+        s, _, zeros = spec._form()
         for target in (StripParams(-1.9, 3.8), DorffParam(3.0)):
             _, lam1, lam2 = target.factors()
             for lam in (lam1, lam2):
-                got = _log_one_minus(lam, spec, 14000)
+                got = _log_one_minus(lam, s, zeros, 14000)
                 ref = _log_one_minus_by_power(lam, spec, 14000)
                 assert np.all(np.isfinite(got))
                 assert np.max(np.abs(got - ref)) <= 1e-14
@@ -369,6 +383,20 @@ class TestGenerateMember:
         for order in range(2, k + 1):
             g = generate_member(HALF, SchwarzSpec("power", c=0.9j, k=k), order)
             assert np.array_equal(g.coeffs, identity(order).coeffs)
+
+    @pytest.mark.parametrize(
+        "target",
+        [StripParams(-0.7, 2.9), HALF, StripParams(-1e3, 1.001), DorffParam(2.0), DorffParam(3.1)],
+        ids=repr,
+    )
+    def test_z_to_the_n_attains_the_per_n_bound(self, target):
+        # omega = z^n is the sharpness witness of the per-n estimate:
+        # |gamma_n| = per_n_bound(n) exactly (worst seen 4.2e-16 relative)
+        for n in range(1, 129):
+            f = generate_member(target, SchwarzSpec("power", c=1.0, k=n), 130)
+            got = abs(log_coefficients(f)[n - 1])
+            bound = target.per_n_bound(n)
+            assert abs(got - bound) <= 1e-14 * bound, n
 
     def test_power_member_rogosinski_partial_sums(self):
         g = generate_member(HALF, SchwarzSpec("power", c=1.0, k=2), 256)

@@ -117,9 +117,12 @@ def _exponents(order):
     for target in _TARGETS:
         kappa, lam1, lam2 = target.factors()
         for spec in _SPECS:
-            logs = log_one_minus_strided if spec.kind == "power" else _log_one_minus
-            q_minus_1 = kappa * (logs(lam1, spec, order) - logs(lam2, spec, order))
-            out.append(TruncatedSeries(q_minus_1))
+            if spec.kind == "power":
+                logs = [log_one_minus_strided(lam, spec, order) for lam in (lam1, lam2)]
+            else:
+                s, _, zeros = spec._form()
+                logs = [_log_one_minus(lam, s, zeros, order) for lam in (lam1, lam2)]
+            out.append(TruncatedSeries(kappa * (logs[0] - logs[1])))
     return out
 
 

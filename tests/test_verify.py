@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -380,7 +382,7 @@ class TestMembership:
 
     @pytest.mark.parametrize("angles", [0, -1])
     def test_rejects_angles_below_one(self, angles):
-        with pytest.raises(ValueError, match="at least 1 angle"):
+        with pytest.raises(ValueError, match="angles must be an integer >= 1"):
             membership_check(identity(2048), HALF, 0.99, angles)
 
 
@@ -470,8 +472,53 @@ class TestConvexityProbe:
 
     @pytest.mark.parametrize("angles", [0, -1])
     def test_rejects_angles_below_one(self, angles):
-        with pytest.raises(ValueError, match="at least 1 angle"):
+        with pytest.raises(ValueError, match="angles must be an integer >= 1"):
             convexity_probe(lambda z: z, 0.9, angles, order=64)
+
+
+class TestSizeArguments:
+    """Every size argument follows series._require_order: an integer >= its
+    least value, numpy integers included, and a Python int in the reports."""
+
+    @pytest.mark.parametrize("order", [100.5, float("nan"), True], ids=repr)
+    def test_probe_rejects_non_integer_order(self, order):
+        # 100.5 and NaN raised AttributeError from _fft_len; True read holds
+        with pytest.raises(ValueError, match="order must be an integer >= 1"):
+            convexity_probe(lambda z: z, 0.9, 64, order=order)
+
+    @pytest.mark.parametrize("angles", [128.0, True], ids=repr)
+    def test_rejects_non_integer_angles(self, angles):
+        # both raised TypeError inside the fold
+        f = generate_member(HALF, SchwarzSpec.identity(), 2048)
+        for call in (
+            lambda: membership_check(f, HALF, 0.99, angles),
+            lambda: audit_member(f, HALF, 0.99, angles),
+            lambda: convexity_probe(lambda z: z, 0.9, angles, order=64),
+        ):
+            with pytest.raises(ValueError, match="angles must be an integer >= 1"):
+                call()
+
+    @pytest.mark.parametrize("k_max", [2.5, True], ids=repr)
+    def test_rogosinski_rejects_non_integer_window(self, k_max):
+        # 2.5 raised TypeError from the slice, True read as a window of 1
+        with pytest.raises(ValueError, match="k_max must be an integer >= 1"):
+            rogosinski_check([0.1, 0.1, 0.1], [0.2, 0.2, 0.2], k_max)
+
+    def test_numpy_integers_give_json_contexts(self):
+        # np.int64 raised AttributeError in the probe, and the sharpness and
+        # membership contexts kept it, which json.dumps refuses
+        i64 = np.int64
+        f = generate_member(HALF, SchwarzSpec.identity(), i64(2048))
+        reports = [
+            sharpness(HALF, i64(100)),
+            convexity_probe(lambda z: z, 0.9, i64(64), order=i64(64)),
+            rogosinski_check([0.1, 0.1], [0.2, 0.2], i64(2)),
+            *audit_member(f, HALF, 0.99, i64(128)),
+        ]
+        for report in reports:
+            assert report.verdict != VIOLATED
+            json.dumps(report.context, allow_nan=False)
+        assert type(reports[0].context["order"]) is int
 
 
 class TestReferenceConstants:
