@@ -36,6 +36,8 @@ __all__ = [
 SCALED_ROTATION = "scaled-rotation"
 POWER = "power"
 BLASCHKE = "blaschke-factor"
+# the float fields each kind reads (``SchwarzSpec._form``)
+_FIELDS = {SCALED_ROTATION: ("c",), POWER: ("c",), BLASCHKE: ("a", "phi")}
 
 
 @dataclass(frozen=True)
@@ -59,12 +61,12 @@ class SchwarzSpec:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("c", "a", "phi"):
+        if self.kind not in _FIELDS:
+            raise ValueError(f"unknown Schwarz family {self.kind!r}")
+        for name in _FIELDS[self.kind]:
             value = complex(getattr(self, name))
             if not (math.isfinite(value.real) and math.isfinite(value.imag)):
                 raise ValueError(f"Schwarz parameter {name} must be finite")
-        if self.kind not in (SCALED_ROTATION, POWER, BLASCHKE):
-            raise ValueError(f"unknown Schwarz family {self.kind!r}")
         s, k, zeros = self._form()
         if abs(s) > 1.0 + 1e-12:
             raise ValueError("scaling factor must satisfy |c| <= 1")
@@ -126,17 +128,17 @@ def koebe_rotation(eps: complex, order: int) -> tuple[TruncatedSeries, np.ndarra
     return TruncatedSeries(coeffs), gammas
 
 
-def _log_one_minus(lam: complex, s: complex, zeros: tuple, order: int) -> np.ndarray:
-    """Coefficients of log(1 - lam s u B(u)) in u up to `order`, exactly,
-    for B the Blaschke product with `zeros` (:class:`SchwarzSpec`).
+def _log_p(lam: complex, s: complex, zeros: tuple, order: int) -> np.ndarray:
+    """Coefficients of log P(u) in u up to `order`, exactly, where
+    1 - lam s u B(u) = P(u) / prod_j (1 + conj(a_j) u) for B the Blaschke
+    product with `zeros` (:class:`SchwarzSpec`) and P(0) = 1.
 
-    1 - lam s u B(u) = P(u) / prod_j (1 + conj(a_j) u) with P(0) = 1, so
-    the log is sum_j log(1 + conj(a_j) u) - sum_i log(1 - r_i u), and
-    coefficient n is (sum_j (-conj(a_j))^n - sum_i r_i^n) / n.  The r_i,
-    the inverse roots of P, are the roots of
-    u prod_j (u + conj(a_j)) - lam s prod_j (a_j u + 1); with no zeros,
-    the one root lam s.  All have modulus <= 1 (omega maps the disc into
-    itself and |lam| = 1), so the power sums stay bounded.
+    P(u) = prod_i (1 - r_i u), so coefficient n is -sum_i r_i^n / n.  The
+    r_i are the roots of u prod_j (u + conj(a_j)) - lam s prod_j (a_j u + 1);
+    with no zeros, the one root lam s.  All have modulus <= 1 (omega maps
+    the disc into itself and |lam| = 1), so the power sums stay bounded.
+    The denominator does not depend on lam, so the difference of two
+    factor logs log(1 - lam s u B(u)) is the difference of their log P.
     """
     ls = lam * s
     # lam s multiplies each coefficient as a scalar: numpy's vectorised
@@ -145,8 +147,6 @@ def _log_one_minus(lam: complex, s: complex, zeros: tuple, order: int) -> np.nda
     poly = [1.0, *(t - ls * b for t, b in zip(tops, reversed(bottoms))), -ls]
     n = np.arange(1, order + 1)
     out = np.zeros(order + 1, dtype=complex)
-    for a in zeros:
-        out[1:] += _powers(-np.conj(a), n)
     for r in np.roots(poly):
         out[1:] -= _powers(r, n)
     out[1:] /= n
@@ -192,8 +192,9 @@ def generate_member(target, w: SchwarzSpec, order: int) -> TruncatedSeries:
     """The unique normalized f with z f'/f subordinated through omega.
 
     Builds q = target map evaluated at omega(z) coefficient-exactly from
-    the closed-form factor logs, then f = z * exp(Int (q - 1)/t dt), the
-    unique normalized f with z f'/f = q.  With omega(z) = z this
+    the closed-form factor logs, q - 1 = kappa [log P_lam1 - log P_lam2]
+    (:func:`_log_p`), then f = z * exp(Int (q - 1)/t dt), the unique
+    normalized f with z f'/f = q.  With omega(z) = z this
     reproduces the extremal function; with omega = 0 it returns the
     identity map z.
 
@@ -207,7 +208,7 @@ def generate_member(target, w: SchwarzSpec, order: int) -> TruncatedSeries:
     scale, step, zeros = w._form()
     kappa, lam1, lam2 = target.factors()
     m = (order - 1) // step
-    logs = [_log_one_minus(lam, scale, zeros, m) for lam in (lam1, lam2)]
+    logs = [_log_p(lam, scale, zeros, m) for lam in (lam1, lam2)]
     q_minus_1 = kappa * (logs[0] - logs[1])
     a = TruncatedSeries(q_minus_1).integrate_over_t().coeffs / step
     coeffs = np.zeros(order + 1, dtype=complex)

@@ -182,15 +182,18 @@ class DorffParam:
 
 
 def _check_index(n) -> np.ndarray:
+    """`n` as an integer array; ValueError unless every entry is an integer
+    >= 1.  The index twin of ``series._require_order``: a bool, a float
+    (NaN and infinity too) or anything else is refused rather than rounded."""
     n = np.asarray(n)
-    if np.any(n < 1):
-        raise ValueError("coefficient index must be >= 1")
+    if n.dtype.kind not in "iu" or np.any(n < 1):
+        raise ValueError("coefficient index must be an integer >= 1")
     return n
 
 
 def _check_disc(z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z) >= 1.0):
+    if not np.all(np.abs(z) < 1.0):  # NaN fails the test too
         raise ValueError("evaluation point must satisfy |z| < 1")
     return z
 

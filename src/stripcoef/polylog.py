@@ -93,11 +93,11 @@ def polylog(s: int, z: complex, tol: float = 1e-12) -> PolylogResult:
         raise ValueError("polylog weight s must be an integer >= 2")
     if s > _MAX_WEIGHT:
         raise ValueError(f"polylog weight s must be at most {_MAX_WEIGHT}")
-    if not tol > 0.0:  # NaN too
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:  # NaN too
+        raise ValueError("tolerance must be positive and finite")
     z = complex(z)
     absz = abs(z)
-    if absz > 1.0 + _ABS_TOL:
+    if not absz <= 1.0 + _ABS_TOL:  # NaN too
         raise ValueError("polylog argument must satisfy |z| <= 1")
     if z == 0.0:
         return PolylogResult(0.0 + 0.0j, 0, 0.0)
@@ -139,7 +139,7 @@ def li4_quadrature(z: complex) -> complex:
     meets the branch cut of the logarithm).
     """
     z = complex(z)
-    if abs(z) > 1.0 + _ABS_TOL:
+    if not abs(z) <= 1.0 + _ABS_TOL:  # NaN too
         raise ValueError("li4_quadrature argument must satisfy |z| <= 1")
     if z == 1.0:
         raise ValueError("z = 1 is excluded; use the series there")

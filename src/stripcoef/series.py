@@ -91,8 +91,8 @@ class TruncatedSeries:
         return TruncatedSeries(np.concatenate([[0.0], self.coeffs]))
 
     def truncate(self, order: int) -> TruncatedSeries:
-        """Drop coefficients above `order` (which must not exceed self.order)."""
-        if order > self.order:
+        """Drop coefficients above `order` (an integer from 0 to self.order)."""
+        if _require_order(order, 0) > self.order:
             raise ValueError("cannot extend a truncated series")
         return TruncatedSeries(self.coeffs[: order + 1])
 

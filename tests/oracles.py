@@ -83,7 +83,7 @@ def schwarz_series(spec, order: int) -> TruncatedSeries:
 
 def log_one_minus_strided(lam: complex, spec, order: int) -> np.ndarray:
     """log(1 - lam c z^k) up to `order` in z: -(lam c)^m / m at every
-    k-th coefficient, as ``logcoef._log_one_minus`` formed it for the
+    k-th coefficient, as ``logcoef._log_p`` formed it for the
     power family before ``generate_member`` took the k-th root transform."""
     out = np.zeros(order + 1, dtype=complex)
     m = np.arange(1, order // spec.k + 1)

@@ -5,7 +5,7 @@ import pytest
 
 from stripcoef.logcoef import (
     SchwarzSpec,
-    _log_one_minus,
+    _log_p,
     _powers,
     extremal_gammas,
     generate_member,
@@ -242,6 +242,21 @@ class TestSchwarzSpec:
             spec = SchwarzSpec("blaschke-factor", c=5.0, k=3, a=0.3, phi=1.0)
             assert generate_member(target, spec, 300).coeffs.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize(
+        ("fields", "unread"),
+        [
+            ({"kind": "scaled-rotation", "c": 0.5, "phi": float("nan")}, {"phi": 0.0}),
+            ({"kind": "scaled-rotation", "c": 0.5, "a": complex("nan")}, {"a": 0.0}),
+            ({"kind": "power", "c": 0.5, "k": 3, "a": float("inf")}, {"a": 0.0}),
+            ({"kind": "blaschke-factor", "a": 0.3, "phi": 1.0, "c": complex("nan")}, {"c": 1.0}),
+        ],
+    )
+    def test_non_finite_unread_field_accepted(self, fields, unread):
+        spec, clean = SchwarzSpec(**fields), SchwarzSpec(**{**fields, **unread})
+        for target in (HALF, DorffParam(2.0)):
+            got = generate_member(target, spec, 300).coeffs
+            assert got.tobytes() == generate_member(target, clean, 300).coeffs.tobytes()
+
     def test_non_finite_parameters_rejected(self):
         nan, inf = float("nan"), float("inf")
         for make in (
@@ -255,8 +270,9 @@ class TestSchwarzSpec:
                 make()
 
 
-def _log_one_minus_by_power(lam, w, order):
-    """The factor logs with np.power throughout (reference form)."""
+def _log_p_by_power(lam, w, order):
+    """The factor logs' numerators log P with np.power throughout
+    (reference form)."""
     out = np.zeros(order + 1, dtype=complex)
     n = np.arange(1, order + 1)
     if w.kind != "blaschke-factor":
@@ -265,7 +281,7 @@ def _log_one_minus_by_power(lam, w, order):
     rot = np.exp(1j * w.phi)
     abar = np.conj(w.a)
     r1, r2 = np.roots([1.0, abar - lam * rot * w.a, -lam * rot])
-    out[1:] = (np.power(-abar, n) - np.power(r1, n) - np.power(r2, n)) / n
+    out[1:] = -(np.power(r1, n) + np.power(r2, n)) / n
     return out
 
 
@@ -285,8 +301,8 @@ class TestLogOneMinus:
         for target in (StripParams(-1.9, 3.8), DorffParam(3.0)):
             _, lam1, lam2 = target.factors()
             for lam in (lam1, lam2):
-                got = _log_one_minus(lam, s, zeros, 14000)
-                ref = _log_one_minus_by_power(lam, spec, 14000)
+                got = _log_p(lam, s, zeros, 14000)
+                ref = _log_p_by_power(lam, spec, 14000)
                 assert np.all(np.isfinite(got))
                 assert np.max(np.abs(got - ref)) <= 1e-14
 

@@ -112,6 +112,31 @@ class TestStripMap:
         with pytest.raises(ValueError):
             b_strip_coeff(HALF, 0)
 
+    @pytest.mark.parametrize("n", [float("nan"), 1.5, 2.5, 2.7, True, np.array([1, 2.5])])
+    def test_rejects_non_integer_index(self, n):
+        # these were rounded by int() or passed through to a NaN value
+        for coeff in (
+            lambda n: b_strip_coeff(HALF, n),
+            lambda n: a_dorff_coeff(RIGHT, n),
+            HALF.hat_coeff,
+            DorffParam(2.0).hat_coeff,
+            HALF.per_n_bound,
+            DorffParam.per_n_bound,
+        ):
+            with pytest.raises(ValueError, match="integer"):
+                coeff(n)
+
+    @pytest.mark.parametrize("z", [complex("nan"), complex(0.1, float("nan")), [0.1, float("nan")]])
+    def test_rejects_nan_point(self, z):
+        for value in (
+            lambda z: p_strip_eval(HALF, z),
+            lambda z: p_hat_eval(HALF, z),
+            lambda z: dorff_eval(RIGHT, z),
+            lambda z: b_tilde_eval(RIGHT, z),
+        ):
+            with pytest.raises(ValueError, match=r"\|z\| < 1"):
+                value(z)
+
     def test_value_range_inside_strip(self):
         z = polar_grid(np.linspace(0.05, 0.999, 64), 64)
         re = np.real(p_strip_eval(HALF, z))

@@ -45,7 +45,7 @@ class TestPolylogSeries:
             assert res.tail_bound <= prev_tail
             prev_terms, prev_tail = res.terms_used, res.tail_bound
 
-    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-12])
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-12, float("inf")])
     def test_rejects_bad_tolerance(self, tol):
         with pytest.raises(ValueError, match="tolerance must be positive"):
             polylog(4, 0.5, tol=tol)
@@ -94,6 +94,11 @@ class TestPolylogSeries:
     def test_rejects_outside_disc(self):
         with pytest.raises(ValueError):
             polylog(4, 1.0 + 1e-6)
+
+    @pytest.mark.parametrize("z", [complex("nan"), complex(0.5, float("nan"))])
+    def test_rejects_nan_argument(self, z):
+        with pytest.raises(ValueError, match=r"\|z\| <= 1"):
+            polylog(4, z)
 
     def test_rejects_small_weight(self):
         with pytest.raises(ValueError):
@@ -189,6 +194,10 @@ class TestQuadrature:
     def test_rejects_outside_disc(self):
         with pytest.raises(ValueError):
             li4_quadrature(1.5)
+
+    def test_rejects_nan_argument(self):
+        with pytest.raises(ValueError, match=r"\|z\| <= 1"):
+            li4_quadrature(complex("nan"))
 
     @pytest.mark.filterwarnings("error")
     def test_against_mpmath(self):

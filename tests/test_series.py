@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stripcoef.logcoef import SchwarzSpec, _log_one_minus, generate_member
+from stripcoef.logcoef import SchwarzSpec, _log_p, generate_member
 from stripcoef.maps import DorffParam, StripParams
 from stripcoef.series import (
     _EXP_NEWTON_MIN,
@@ -55,6 +55,13 @@ class TestCalculus:
     def test_integrate_rejects_constant_term(self):
         with pytest.raises(ValueError):
             TruncatedSeries([1, 1]).integrate_over_t()
+
+    @pytest.mark.parametrize("order", [-5, True, 2.0])
+    def test_truncate_rejects_bad_order(self, order):
+        # a negative order sliced from the end and True counted as 1
+        s = TruncatedSeries(np.arange(11.0))
+        with pytest.raises(ValueError):
+            s.truncate(order)
 
 
 class TestExpLog:
@@ -121,7 +128,7 @@ def _exponents(order):
                 logs = [log_one_minus_strided(lam, spec, order) for lam in (lam1, lam2)]
             else:
                 s, _, zeros = spec._form()
-                logs = [_log_one_minus(lam, s, zeros, order) for lam in (lam1, lam2)]
+                logs = [_log_p(lam, s, zeros, order) for lam in (lam1, lam2)]
             out.append(TruncatedSeries(kappa * (logs[0] - logs[1])))
     return out
 
