@@ -131,12 +131,13 @@ def koebe_rotation(eps: complex, order: int) -> tuple[TruncatedSeries, np.ndarra
 def _log_p(lam: complex, s: complex, zeros: tuple, order: int) -> np.ndarray:
     """Coefficients of log P(u) in u up to `order`, exactly, where
     1 - lam s u B(u) = P(u) / prod_j (1 + conj(a_j) u) for B the Blaschke
-    product with `zeros` (:class:`SchwarzSpec`) and P(0) = 1.
+    product with `zeros` (:class:`SchwarzSpec`) and P(0) = 1, for
+    Blaschke members only (:func:`generate_member`).
 
     P(u) = prod_i (1 - r_i u), so coefficient n is -sum_i r_i^n / n.  The
-    r_i are the roots of u prod_j (u + conj(a_j)) - lam s prod_j (a_j u + 1);
-    with no zeros, the one root lam s.  All have modulus <= 1 (omega maps
-    the disc into itself and |lam| = 1), so the power sums stay bounded.
+    r_i are the roots of u prod_j (u + conj(a_j)) - lam s prod_j (a_j u + 1).
+    All have modulus <= 1 (omega maps the disc into itself and |lam| = 1),
+    so the power sums stay bounded.
     The denominator does not depend on lam, so the difference of two
     factor logs log(1 - lam s u B(u)) is the difference of their log P.
     """
@@ -191,28 +192,35 @@ def _powers(r: complex, n: np.ndarray) -> np.ndarray:
 def generate_member(target, w: SchwarzSpec, order: int) -> TruncatedSeries:
     """The unique normalized f with z f'/f subordinated through omega.
 
-    Builds q = target map evaluated at omega(z) coefficient-exactly from
-    the closed-form factor logs, q - 1 = kappa [log P_lam1 - log P_lam2]
-    (:func:`_log_p`), then f = z * exp(Int (q - 1)/t dt), the unique
-    normalized f with z f'/f = q.  With omega(z) = z this
-    reproduces the extremal function; with omega = 0 it returns the
-    identity map z.
+    f = z exp(Int (q - 1)/t dt) for q the target map at omega(z).  With
+    omega(z) = z this reproduces the extremal function; with omega = 0
+    it returns the identity map z.
 
     Omega depends on z only through u = z^k, so f(z) = z E(z^k) is the
-    k-th root transform of the member E for omega_0(u) = s u B(u): q - 1
-    is formed in u at order (order - 1) // k, its integral divided by k,
-    and E_j written to coefficient 1 + jk.  Every other coefficient is an
-    exact 0.
+    k-th root transform of the member E for omega_0(u) = s u B(u), built
+    in u at order (order - 1) // k; E_j goes to coefficient 1 + jk and
+    every other coefficient is an exact 0.  With zeros, q - 1 =
+    kappa [log P_lam1 - log P_lam2] from the factor logs (:func:`_log_p`);
+    without, the exponent is (rho_j / k) (tau s)^j (``target.hat_rotation``),
+    so E_j = X_j (tau s / |s|)^j with X the exponential of the real series
+    rho_j |s|^j / k, which keeps |s| so as to grow no faster than E.
     """
     _require_order(order, 2)
     scale, step, zeros = w._form()
-    kappa, lam1, lam2 = target.factors()
     m = (order - 1) // step
-    logs = [_log_p(lam, scale, zeros, m) for lam in (lam1, lam2)]
-    q_minus_1 = kappa * (logs[0] - logs[1])
-    a = TruncatedSeries(q_minus_1).integrate_over_t().coeffs / step
     coeffs = np.zeros(order + 1, dtype=complex)
-    coeffs[1::step] = series_exp(TruncatedSeries(a)).coeffs
+    if zeros:
+        kappa, lam1, lam2 = target.factors()
+        logs = [_log_p(lam, scale, zeros, m) for lam in (lam1, lam2)]
+        q_minus_1 = kappa * (logs[0] - logs[1])
+        a = TruncatedSeries(q_minus_1).integrate_over_t().coeffs / step
+        coeffs[1::step] = series_exp(TruncatedSeries(a)).coeffs
+    else:
+        n, r = np.arange(1, m + 1), abs(scale)
+        tau, rho = target.hat_rotation(n)
+        a = np.concatenate([[0.0], rho * _powers(r, n).real / step])
+        coeffs[1::step] = series_exp(TruncatedSeries(a)).coeffs
+        coeffs[1 + step :: step] *= _powers(tau * scale / r if r else tau, n)
     return TruncatedSeries(coeffs)
 
 

@@ -105,6 +105,15 @@ class StripParams:
         """Coefficient n of the integrated strip map: b_strip_coeff / n."""
         return _over_n(b_strip_coeff, self, n)
 
+    def hat_rotation(self, n):
+        """(tau, rho_n) with hat_coeff(n) = rho_n tau**n and rho_n real:
+        tau = e^{i pi s t} and rho_n = s (2 width/pi) sin(pi r) (-1)^j / n^2
+        from the reduced r = n t - j of :func:`b_strip_coeff`."""
+        n = _check_index(n)
+        s, t, r, j = _reduced_phase(self, n)
+        rho = s * (2.0 * self.width / np.pi) * np.sin(np.pi * r) * (-1.0) ** j / n**2
+        return np.exp(1j * np.pi * s * t), rho
+
     def per_n_bound(self, n):
         """|gamma_n| <= (width/(n pi)) |sin(pi mu)|, i.e. |B_1|/(2n)."""
         return (self.width / (_check_index(n) * np.pi)) * abs(np.sin(np.pi * self._phase()[1]))
@@ -161,6 +170,10 @@ class DorffParam:
     def hat_coeff(self, n):
         """Coefficient n of the integrated Dorff map: a_dorff_coeff / n."""
         return _over_n(a_dorff_coeff, self, n)
+
+    def hat_rotation(self, n):
+        """(1, hat_coeff(n)): the Dorff coefficients are real already."""
+        return 1.0, self.hat_coeff(n)
 
     @staticmethod
     def per_n_bound(n):
@@ -240,13 +253,18 @@ def p_strip_eval(p: StripParams, z):
 def b_strip_coeff(p: StripParams, n):
     """Taylor coefficient n >= 1 of the strip map; |result| <= 2*width/(n*pi)."""
     n = _check_index(n)
-    s, t = p._phase()
-    # 1 - e^{2 pi i n mu} = 1 - e^{2 pi i s r} with no subtraction, r = n t
-    # reduced exactly to (-1/2, 1/2]: integer n t (even n at mu = 1/2) gives 0
-    r = n * t - np.ceil(n * t - 0.5)
+    s, _, r, _ = _reduced_phase(p, n)
     one_minus_phase = _complex(2.0 * np.sin(np.pi * r) ** 2, -s * np.sin(2.0 * np.pi * r))
     val = (p.width / (n * np.pi)) * 1j * one_minus_phase
     return complex(val) if val.ndim == 0 else val
+
+
+def _reduced_phase(p: StripParams, n):
+    """(s, t, r, j), e^{2 pi i n mu} = e^{2 pi i s r} with r = n t - j reduced
+    exactly to (-1/2, 1/2]: no subtraction follows, and integer n t gives 0."""
+    s, t = p._phase()
+    j = np.ceil(n * t - 0.5)
+    return s, t, n * t - j, j
 
 
 def _over_n(coeff, target, n):

@@ -115,23 +115,25 @@ def series_exp(a: TruncatedSeries) -> TruncatedSeries:
     there on Newton iteration with FFT products gives the same series in
     O(N log N).  Newton can lose every digit on large coefficients, so the
     recurrence recomputes any Newton result whose residual is above
-    ``_EXP_RESIDUAL_MAX`` or NaN, as it is when Newton overflows.
+    ``_EXP_RESIDUAL_MAX`` or NaN, as it is when Newton overflows.  A real
+    series (every imaginary part exactly 0) runs on float arrays.
     Restricting to a_0 = 0 keeps the result branch-free.  Raises
     ValueError when the coefficients of exp(a) do not fit in a double.
     """
     if abs(a.coeffs[0]) > _NORMALIZED_TOL:
         raise ValueError("series_exp requires a vanishing constant term")
+    c = a.coeffs if a.coeffs.imag.any() else a.coeffs.real
     if a.order >= _EXP_NEWTON_MIN:
         # an overflow in Newton shows as a NaN residual, which the
         # recurrence then replaces
         with np.errstate(over="ignore", invalid="ignore"):
-            e = _exp_newton(a.coeffs)
-            residual = _exp_residual(a.coeffs, e)
+            e = _exp_newton(c)
+            residual = _exp_residual(c, e)
         if residual <= _EXP_RESIDUAL_MAX:  # False for NaN
             return TruncatedSeries(e)
     # an overflow leaves an infinity, and NaNs after it, in the result
     with np.errstate(over="ignore", invalid="ignore"):
-        e = _exp_recurrence(a.coeffs)
+        e = _exp_recurrence(c)
     if not np.isfinite(e).all():
         raise ValueError("coefficients of the exponential overflow a double")
     return TruncatedSeries(e)
@@ -139,13 +141,14 @@ def series_exp(a: TruncatedSeries) -> TruncatedSeries:
 
 def _exp_recurrence(a: np.ndarray) -> np.ndarray:
     """exp of a coefficient array with a_0 = 0 by the O(N^2) recurrence:
-    the path below the crossover, Newton's start, and its test reference."""
+    the path below the crossover, Newton's start, and its test reference;
+    real or complex as `a` is."""
     n = len(a) - 1
     da = np.arange(n + 1) * a  # j * a_j
-    out = np.zeros(n + 1, dtype=complex)
+    out = np.zeros(n + 1, dtype=a.dtype)
     out[0] = 1.0
     # rev[n - i] mirrors out[i]; keeps every dot product contiguous
-    rev = np.zeros(n + 1, dtype=complex)
+    rev = np.zeros(n + 1, dtype=a.dtype)
     rev[n] = 1.0
     for k in range(1, n + 1):
         val = np.dot(da[1 : k + 1], rev[n - k + 1 : n + 1]) / k
@@ -182,9 +185,10 @@ def _exp_newton(a: np.ndarray) -> np.ndarray:
     f += f (a - log f) (Brent & Kung 1978; Bernstein 2004).  Every product
     is an FFT convolution long enough that wrap-around lands only on
     coefficients already known; the transforms of f and g serve two
-    products each.
+    products each.  A real `a` takes numpy's real transforms, half the
+    work of the complex ones.
     """
-    fft, ifft = np.fft.fft, np.fft.ifft
+    fft, ifft = (np.fft.fft, np.fft.ifft) if np.iscomplexobj(a) else (np.fft.rfft, np.fft.irfft)
     k = np.arange(len(a))
     ta = k * a  # z a'
     sizes = []
@@ -198,16 +202,16 @@ def _exp_newton(a: np.ndarray) -> np.ndarray:
     for big in reversed(sizes):
         m, h = len(f), len(g)
         if h < m:
-            size = len(big_g)
-            fg = ifft(fft(f, size) * big_g)[h:m]  # 1 - f g, negated, from z^h on
-            g = np.concatenate([g, -ifft(big_g * fft(fg, size))[: m - h]])
+            # size is still the previous step's, the length of big_g
+            fg = ifft(fft(f, size) * big_g, size)[h:m]  # 1 - f g, negated, from z^h on
+            g = np.concatenate([g, -ifft(big_g * fft(fg, size), size)[: m - h]])
         size = _fft_len(big)
         big_f, big_g = fft(f, size), fft(g, size)
         # z f' - f*ta vanishes below z^m and f has no terms from z^m on,
         # so its part m..big-1 is -(f*ta) there
-        f_ta = ifft(big_f * fft(ta[:big], size))[m:big]
-        a_minus_log = ifft(big_g * fft(f_ta, size))[: big - m] / k[m:big]
-        f = np.concatenate([f, ifft(big_f * fft(a_minus_log, size))[: big - m]])
+        f_ta = ifft(big_f * fft(ta[:big], size), size)[m:big]
+        a_minus_log = ifft(big_g * fft(f_ta, size), size)[: big - m] / k[m:big]
+        f = np.concatenate([f, ifft(big_f * fft(a_minus_log, size), size)[: big - m]])
     return f
 
 

@@ -4,7 +4,8 @@ Each gives an independent route to a quantity the package computes in
 closed form or by a faster path: Horner evaluation against the circle
 audits' ``verify._fold``, a fold by one slice-and-add per chunk against
 its row sum, truncated composition against ``generate_member``'s factor
-logs, the power-family member built at full order against
+logs, the factor-log member against the rotated real exponential of
+zero-free members, the power-family member built at full order against
 ``generate_member``'s k-th root transform, the map series against
 circle sampling, and the integrated-map
 series against the pointwise integrated maps and, exponentiated,
@@ -16,7 +17,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from stripcoef.logcoef import _powers
+from stripcoef.logcoef import _log_p, _powers
 from stripcoef.maps import DorffParam, StripParams, a_dorff_coeff, b_strip_coeff
 from stripcoef.series import _NORMALIZED_TOL, TruncatedSeries, _fft_len, series_exp
 from stripcoef.verify import _circle_grid
@@ -79,6 +80,20 @@ def schwarz_series(spec, order: int) -> TruncatedSeries:
             w[2:] += (-abar) ** (n[1:] - 2)
         w[1:] *= rot
     return TruncatedSeries(w)
+
+
+def factor_log_member(target, spec, order: int) -> TruncatedSeries:
+    """``generate_member`` as it was for every kind: q - 1 from the two
+    factor logs ``_log_p`` in u = z^k, exponentiated once.  Zero-free
+    members are now built as a rotated real exponential instead."""
+    scale, step, zeros = spec._form()
+    kappa, lam1, lam2 = target.factors()
+    m = (order - 1) // step
+    logs = [_log_p(lam, scale, zeros, m) for lam in (lam1, lam2)]
+    a = TruncatedSeries(kappa * (logs[0] - logs[1])).integrate_over_t().coeffs / step
+    coeffs = np.zeros(order + 1, dtype=complex)
+    coeffs[1::step] = series_exp(TruncatedSeries(a)).coeffs
+    return TruncatedSeries(coeffs)
 
 
 def log_one_minus_strided(lam: complex, spec, order: int) -> np.ndarray:

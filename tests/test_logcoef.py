@@ -21,6 +21,7 @@ from stripcoef.series import TruncatedSeries, series_exp
 from oracles import (
     compose_schwarz,
     evaluate,
+    factor_log_member,
     hat_series,
     identity,
     p_strip_series,
@@ -453,6 +454,99 @@ class TestGenerateMember:
         sub = np.cumsum(np.abs(2.0 * gam[:64]) ** 2)
         dom = np.cumsum(np.abs(d.hat_coeff(n)) ** 2)
         assert np.all(sub <= dom + 1e-12)
+
+
+class TestZeroFreeMembers:
+    # zero-free members are E_j = X_j (tau s)^j with X the exponential of
+    # the real series rho / k; the factor logs remain for Blaschke members
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            StripParams(-1e3, 1.001),
+            StripParams(-1e6, 1.000001),
+            StripParams(0.999999, 2.0),
+            HALF,
+            StripParams(-1.3, 3.7),
+            DorffParam(PI - 1e-3),
+            DorffParam(1.6),
+        ],
+        ids=repr,
+    )
+    def test_identity_matches_closed_form_gammas(self, target):
+        # kappa [(lam2 s)^n - (lam1 s)^n] lost 5 digits here with mu near 0 or 1
+        gammas = extremal_gammas(target, 128)
+        got = log_coefficients(generate_member(target, ID, 129))
+        assert np.max(np.abs(got - gammas)) <= 2e-15 * np.max(np.abs(gammas))
+
+    @pytest.mark.parametrize("kind, k", [("scaled-rotation", 1), *(("power", k) for k in range(2, 6))])
+    def test_matches_factor_log_construction(self, kind, k):
+        # mu = 1e-6 and 1 - 1e-6 at unit width, where the factor logs keep
+        # their digits; they lose them with kappa, 1.5e-14 at (-1e3, 1.001)
+        targets = (
+            StripParams(0.999999, 2.0),
+            StripParams(0.0, 1.000001),
+            StripParams(-1.3, 3.7),
+            DorffParam(1.6),
+            DorffParam(3.0),
+        )
+        for target in targets:
+            for c in (0.0, 0.5, 0.5 * np.exp(1j), 1.0, np.exp(2.1j)):
+                spec = SchwarzSpec(kind, c=c, k=k)
+                for order in (k + 1, 320 * k - 1, 320 * k + 1, 14020):
+                    got = generate_member(target, spec, order).coeffs
+                    ref = factor_log_member(target, spec, order).coeffs
+                    scale = max(1.0, np.max(np.abs(ref)))
+                    assert np.max(np.abs(got - ref)) <= 1e-15 * scale, (target, c, order)
+
+    def test_small_s_on_a_wide_strip_stays_finite(self):
+        # the real series keeps |s|: X(tau s u) itself would overflow a
+        # double at these widths, where E peaks at 3.7e162
+        p = StripParams(-1e3, 1e3)
+        for c in (0.05, 0.3j):
+            for kind, k in (("scaled-rotation", 1), ("power", 3)):
+                spec = SchwarzSpec(kind, c=c, k=k)
+                got = generate_member(p, spec, 2000).coeffs
+                ref = factor_log_member(p, spec, 2000).coeffs
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (c, k)
+
+    @pytest.mark.parametrize("delta", [3.14, PI - 1e-3])
+    def test_closer_to_mpmath_than_factor_logs_near_pi(self, delta):
+        # kappa = 1/(2i sin delta) reaches 500, and the factor logs' error
+        # with it; the rotated construction does not cancel
+        mpmath = pytest.importorskip("mpmath")
+        order = 200
+        d = DorffParam(delta)
+        for c in (1.0, np.exp(2.1j)):
+            spec = SchwarzSpec("scaled-rotation", c=c)
+            with mpmath.workdps(30):
+                x, cc = mpmath.mpf(delta), mpmath.mpc(c.real, c.imag)
+                da = [mpmath.mpc(0)] + [
+                    (-1) ** (n - 1) * mpmath.sin(n * x) / (n * mpmath.sin(x)) * cc**n
+                    for n in range(1, order)
+                ]
+                exact = [mpmath.mpc(1)]
+                for j in range(1, order):
+                    exact.append(mpmath.fdot(da[1 : j + 1], exact[j - 1 :: -1]) / j)
+                exact = np.array([0.0] + [complex(v) for v in exact])
+            got = generate_member(d, spec, order).coeffs
+            ref = factor_log_member(d, spec, order).coeffs
+            assert np.max(np.abs(got - exact)) < np.max(np.abs(ref - exact)), c
+
+    def test_never_reach_np_roots(self, monkeypatch):
+        def refuse(poly):
+            raise AssertionError("np.roots called")
+
+        monkeypatch.setattr(np, "roots", refuse)
+        for target in (StripParams(-1.9, 3.8), DorffParam(3.0)):
+            for spec in (
+                ID,
+                SchwarzSpec("scaled-rotation", c=0.6 - 0.5j),
+                SchwarzSpec("power", c=np.exp(2.1j), k=3),
+            ):
+                generate_member(target, spec, 2000)
+            with pytest.raises(AssertionError, match="np.roots"):
+                generate_member(target, SchwarzSpec("blaschke-factor", a=0.4), 64)
 
 
 class TestRandomDraws:

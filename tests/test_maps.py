@@ -188,6 +188,31 @@ class TestIntegratedStripMap:
         assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-15
 
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            HALF,
+            StripParams(-1.3, 3.7),
+            StripParams(-1e3, 1.001),
+            StripParams(0.999999, 2.0),
+            StripParams(0.0, 1.000001),
+        ],
+        ids=repr,
+    )
+    def test_rotation_reproduces_coefficients(self, p):
+        # hat_coeff(n) = rho_n tau^n with rho_n real; both take sin(pi r)
+        # from the same reduced r, so their moduli agree to rounding
+        n = np.arange(1, 4097)
+        tau, rho = p.hat_rotation(n)
+        hat = p.hat_coeff(n)
+        assert rho.dtype == float and abs(abs(tau) - 1.0) <= 1e-16
+        assert np.array_equal(rho == 0.0, hat == 0.0)
+        nz = hat != 0.0
+        assert np.all(np.abs(np.abs(rho[nz]) - np.abs(hat[nz])) <= 1e-15 * np.abs(hat[nz]))
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(rho * tau**n - hat) <= 4.0 * n * eps * np.abs(hat))
+
+
 class TestDorffMap:
     def test_vanishes_at_origin(self):
         assert dorff_eval(RIGHT, 0.0) == 0.0
@@ -252,6 +277,12 @@ class TestIntegratedDorffMap:
     def test_coeff_is_scaled_map_coeff(self):
         assert RIGHT.hat_coeff(1) == 1.0
         assert abs(RIGHT.hat_coeff(3) + 1.0 / 9.0) < 1e-15
+
+    def test_rotation_is_the_identity(self):
+        n = np.arange(1, 4097)
+        for d in (RIGHT, DorffParam(3.0), DorffParam(PI - 1e-3)):
+            tau, rho = d.hat_rotation(n)
+            assert tau == 1.0 and np.array_equal(rho, d.hat_coeff(n))
 
     def test_series_is_integral_of_map_series(self):
         d = DorffParam(2.5)

@@ -7,9 +7,11 @@ from stripcoef.logcoef import SchwarzSpec, _log_p, generate_member
 from stripcoef.maps import DorffParam, StripParams
 from stripcoef.series import (
     _EXP_NEWTON_MIN,
+    _EXP_RESIDUAL_MAX,
     TruncatedSeries,
     _exp_newton,
     _exp_recurrence,
+    _exp_residual,
     log_normalized,
     series_exp,
 )
@@ -151,15 +153,40 @@ class TestExpNewton:
             a = _exponents(order)[0].integrate_over_t()
             assert np.array_equal(series_exp(a).coeffs, path(a.coeffs))
 
-    @pytest.mark.parametrize("half_width", [10.0, 15.0])
-    def test_wide_strip_falls_back_to_recurrence(self, half_width):
+    @pytest.mark.parametrize(
+        "half_width, real",
+        [(10.0, False), (15.0, False), (10.0, True), (15.0, True)],
+        ids=["10.0", "15.0", "10.0-real", "15.0-real"],
+    )
+    def test_wide_strip_falls_back_to_recurrence(self, half_width, real):
         # at width 20 Newton loses every digit (coefficients up to 1.3e13
         # where the recurrence's reach 9.0e3); at width 30 it overflows.
-        # Its residual, large or NaN, sends series_exp back without a warning
-        a = hat_series(StripParams(-half_width, half_width), 4000)
-        ref = _exp_recurrence(a.coeffs)
-        got = series_exp(a).coeffs
+        # Its residual, large or NaN, sends series_exp back without a
+        # warning, on real transforms as on complex ones
+        p = StripParams(-half_width, half_width)
+        a = hat_series(p, 4000).coeffs
+        if real:  # the same series rotated to real coefficients
+            a = np.concatenate([[0.0], p.hat_rotation(np.arange(1, 4001))[1]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not _exp_residual(a, _exp_newton(a)) <= _EXP_RESIDUAL_MAX
+        ref = _exp_recurrence(a)
+        got = series_exp(TruncatedSeries(a)).coeffs
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "order", [_EXP_NEWTON_MIN - 1, _EXP_NEWTON_MIN, _EXP_NEWTON_MIN + 1, 4096, 14019]
+    )
+    def test_real_series_stays_real(self, order):
+        # imaginary parts exactly 0, and Newton's complex-transform result
+        # on the same coefficients; mu = 1e-6 as well as the two targets
+        n = np.arange(1, order + 1)
+        for target in (*_TARGETS, StripParams(0.999999, 2.0)):
+            for k in (1, 3):
+                a = np.concatenate([[0.0], target.hat_rotation(n)[1] / k])
+                got = series_exp(TruncatedSeries(a)).coeffs
+                ref = _exp_newton(a.astype(complex))
+                assert not got.imag.any()
+                assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), (target, k)
 
     @pytest.mark.parametrize("order", [100, 1500])
     def test_overflow_is_a_value_error(self, order):
