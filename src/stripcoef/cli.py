@@ -104,6 +104,8 @@ class RunConfig:
             )
         if not 1 <= self.samples <= _MAX_SAMPLES:
             raise ConfigError(f"samples must lie in [1, {_MAX_SAMPLES}]")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
     def target(self):
         """The class parameters; exactly one family must be selected."""
@@ -158,8 +160,11 @@ def _write(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # a path the user gave, not a fault of the program
+            raise ConfigError(f"cannot write --output-path: {exc}") from None
 
 
 def _error(message: str, kind: str, code: int) -> int:

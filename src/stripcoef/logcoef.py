@@ -70,7 +70,8 @@ class SchwarzSpec:
         s, k, zeros = self._form()
         if abs(s) > 1.0 + 1e-12:
             raise ValueError("scaling factor must satisfy |c| <= 1")
-        _require_order(k, 1, "power exponent")
+        if self.kind == POWER:
+            object.__setattr__(self, "k", _require_order(k, 1, "power exponent"))
         if any(abs(a) >= 1.0 for a in zeros):
             raise ValueError("Blaschke zero must satisfy |a| < 1")
 
@@ -91,7 +92,7 @@ class SchwarzSpec:
         if self.kind in (SCALED_ROTATION, POWER):
             out["c_re"], out["c_im"] = self.c.real, self.c.imag
             if self.kind == POWER:
-                out["k"] = int(self.k)
+                out["k"] = self.k
         else:
             out["a_re"], out["a_im"] = self.a.real, self.a.imag
             out["phi"] = self.phi
@@ -107,7 +108,7 @@ def log_coefficients(f: TruncatedSeries) -> np.ndarray:
 def extremal_gammas(target, order: int) -> np.ndarray:
     """Closed-form gamma_1..gamma_order of the target's extremal function,
     without its series: half the integrated-map coefficients."""
-    _require_order(order, 2)
+    order = _require_order(order, 2)
     return target.hat_coeff(np.arange(1, order + 1)) / 2.0
 
 
@@ -120,7 +121,7 @@ def koebe_rotation(eps: complex, order: int) -> tuple[TruncatedSeries, np.ndarra
     eps = complex(eps)
     if not abs(abs(eps) - 1.0) <= 1e-12:  # NaN fails the test too
         raise ValueError("Koebe rotation requires |eps| = 1")
-    _require_order(order, 2)
+    order = _require_order(order, 2)
     n = np.arange(1, order + 1)
     coeffs = np.zeros(order + 1, dtype=complex)
     coeffs[1:] = n * eps ** (n - 1)
@@ -205,7 +206,7 @@ def generate_member(target, w: SchwarzSpec, order: int) -> TruncatedSeries:
     so E_j = X_j (tau s / |s|)^j with X the exponential of the real series
     rho_j |s|^j / k, which keeps |s| so as to grow no faster than E.
     """
-    _require_order(order, 2)
+    order = _require_order(order, 2)
     scale, step, zeros = w._form()
     m = (order - 1) // step
     coeffs = np.zeros(order + 1, dtype=complex)
@@ -242,6 +243,6 @@ def random_schwarz_spec(rng: np.random.Generator) -> SchwarzSpec:
         return SchwarzSpec(SCALED_ROTATION, c=complex(rng.uniform(0.0, 1.0) * phase))
     if kind == 1:
         c = complex(rng.uniform(0.0, 1.0) * phase)
-        return SchwarzSpec(POWER, c=c, k=int(rng.integers(2, 6)))
+        return SchwarzSpec(POWER, c=c, k=rng.integers(2, 6))
     a = complex(rng.uniform(0.0, 0.8) * phase)
     return SchwarzSpec(BLASCHKE, a=a, phi=float(rng.uniform(0.0, 2.0 * np.pi)))

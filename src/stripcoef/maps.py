@@ -24,6 +24,7 @@ drops the digits of a small argument.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -57,6 +58,7 @@ class StripParams:
     mu: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        _store_floats(self, "alpha", "beta")
         # the width too: finite edges can still overflow it
         if not np.all(np.isfinite((self.alpha, self.beta, self.width))):
             raise ValueError("strip parameters must be finite")
@@ -102,8 +104,8 @@ class StripParams:
         return (self.width / np.pi) * 1j, np.exp(s * 2j * np.pi * t), 1.0 + 0.0j
 
     def hat_coeff(self, n):
-        """Coefficient n of the integrated strip map: b_strip_coeff / n."""
-        return _over_n(b_strip_coeff, self, n)
+        """Coefficient n of the integrated strip map: b_strip_coeff / n (it checks n)."""
+        return b_strip_coeff(self, n) / n
 
     def hat_rotation(self, n):
         """(tau, rho_n) with hat_coeff(n) = rho_n tau**n and rho_n real:
@@ -141,6 +143,7 @@ class DorffParam:
     delta: float
 
     def __post_init__(self) -> None:
+        _store_floats(self, "delta")
         if not np.pi / 2.0 <= self.delta < np.pi:
             raise ValueError("delta must lie in [pi/2, pi)")
 
@@ -168,8 +171,8 @@ class DorffParam:
         return 1.0 / (2j * np.sin(self.delta)), -phase, -np.conj(phase)
 
     def hat_coeff(self, n):
-        """Coefficient n of the integrated Dorff map: a_dorff_coeff / n."""
-        return _over_n(a_dorff_coeff, self, n)
+        """Coefficient n of the integrated Dorff map: a_dorff_coeff / n (it checks n)."""
+        return a_dorff_coeff(self, n) / n
 
     def hat_rotation(self, n):
         """(1, hat_coeff(n)): the Dorff coefficients are real already."""
@@ -192,6 +195,17 @@ class DorffParam:
 
     def describe(self) -> dict:
         return {"delta": self.delta}
+
+
+def _store_floats(target, *names: str) -> None:
+    """Store each named field of a frozen target as a Python float, so its
+    bounds are doubles and an overflow in them raises; ValueError unless
+    the field holds a real number (a string is not one)."""
+    for name in names:
+        value = getattr(target, name)
+        if not isinstance(value, numbers.Real):
+            raise ValueError(f"{target.family} parameter {name} must be a real number")
+        object.__setattr__(target, name, float(value))
 
 
 def _check_index(n) -> np.ndarray:
@@ -265,13 +279,6 @@ def _reduced_phase(p: StripParams, n):
     s, t = p._phase()
     j = np.ceil(n * t - 0.5)
     return s, t, n * t - j, j
-
-
-def _over_n(coeff, target, n):
-    """coeff(target, n) / n: the coefficient of the integrated map."""
-    n = _check_index(n)
-    k = int(n) if n.ndim == 0 else n
-    return coeff(target, k) / k
 
 
 # B_{2k} / (2k+1)! for k = 1..10 (B_2 = 1/6, B_4 = -1/30, ...): the

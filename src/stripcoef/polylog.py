@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import _log, _log1p
+from .series import _require_order
 
 __all__ = [
     "PolylogResult",
@@ -89,8 +90,7 @@ def polylog(s: int, z: complex, tol: float = 1e-12) -> PolylogResult:
     bound in the result is always truthful.  A real z gives an imaginary
     part of exactly 0.
     """
-    if not isinstance(s, (int, np.integer)) or s < 2:
-        raise ValueError("polylog weight s must be an integer >= 2")
+    s = _require_order(s, 2, "polylog weight s")
     if s > _MAX_WEIGHT:
         raise ValueError(f"polylog weight s must be at most {_MAX_WEIGHT}")
     if not 0.0 < tol < math.inf:  # NaN too

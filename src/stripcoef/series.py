@@ -92,7 +92,8 @@ class TruncatedSeries:
 
     def truncate(self, order: int) -> TruncatedSeries:
         """Drop coefficients above `order` (an integer from 0 to self.order)."""
-        if _require_order(order, 0) > self.order:
+        order = _require_order(order, 0)
+        if order > self.order:
             raise ValueError("cannot extend a truncated series")
         return TruncatedSeries(self.coeffs[: order + 1])
 

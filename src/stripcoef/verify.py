@@ -4,9 +4,8 @@ Every check emits a :class:`BoundReport` with the computed left-hand
 quantity, the sharp bound it is tested against, a truncation-tail
 estimate, and a verdict.
 Every verdict is taken within one `tolerance`, ``TOLERANCE_FLOOR`` = 1e-9
-by default.  Only a proven tail widens it: :func:`sharpness` uses
-``max(sum_tail, tolerance)``.  The circle audits' ``radius**order``
-bounds no stated quantity, so it is reported but widens nothing.
+by default.  Only an equality check's proven tail widens it (:func:`_report`);
+the circle audits' ``radius**order`` bounds no stated quantity and widens nothing.
 
 Negative controls (deliberately violated inputs) are part of the checker
 contracts so the discriminating power of each verdict is itself tested.
@@ -79,12 +78,15 @@ def _report(
 ) -> BoundReport:
     """Verdict of lhs <= rhs within `tolerance`.
 
+    A NaN, infinite or negative `tolerance` raises; an equality check
+    then widens it to its proven `tail`, and no other check is widened.
     A `reason` forces `violated` and is recorded in the context, as is a
-    non-finite side (every comparison with NaN is false, which would
-    read as holds).  A NaN, infinite or negative `tolerance` raises.
+    non-finite side (every comparison with NaN is false and reads holds).
     """
     if not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
+    if equality_applicable:
+        tolerance = max(tolerance, tail)
     if reason is None and not (math.isfinite(lhs) and math.isfinite(rhs)):
         reason = "non-finite lhs or rhs"
     if reason is not None:
@@ -99,6 +101,11 @@ def _report(
     return BoundReport(lhs, rhs, tail, verdict, context)
 
 
+def _check_radius(radius: float) -> None:
+    if not 0.0 < radius < 1.0:  # NaN fails the test too
+        raise ValueError("radius must lie in (0, 1)")
+
+
 def audit_min_order(radius: float, n_max: int = _AUDIT_N_MAX) -> int:
     """Smallest series order :func:`audit_member` accepts at `radius`.
 
@@ -107,8 +114,7 @@ def audit_min_order(radius: float, n_max: int = _AUDIT_N_MAX) -> int:
     documented heuristic, not a proof); its coefficient checks read the
     first n_max + 1 terms.  ``n_max=0`` gives the membership floor alone.
     """
-    if not 0.0 < radius < 1.0:
-        raise ValueError("radius must lie in (0, 1)")
+    _check_radius(radius)
     tail_order = int(np.ceil(_MEMBERSHIP_TAIL_EXPONENT / np.log(1.0 / radius)))
     return max(_MEMBERSHIP_MIN_ORDER, tail_order, n_max + 1)
 
@@ -132,7 +138,7 @@ def sum_tail(target, order: int) -> float:
     integral test bounds the sum: C^2/(3 N^3) when C/B <= N, else
     B^2 (1/N - 1/k) + C^2/(3 k^3) with k = floor(C/B).  Requires order >= 1.
     """
-    _require_order(order, 1)
+    order = _require_order(order, 1)
     c = target.tail_constant
     b = target.per_n_bound(1)
     if c <= b * order:
@@ -279,11 +285,11 @@ def convexity_probe(h, radius: float, angles: int, order: int = 2048) -> BoundRe
     By Alexander's relation the probe quantity is z g'/g, harmonic where
     h' != 0, so its minimum over the disc lies on the circle |z| = radius,
     the only ring sampled; any zero of h' inside makes the verdict
-    violated (:func:`_circle_audit`).  Raises if h' vanishes at a sample
-    point of either grid.  The verdict is taken within ``TOLERANCE_FLOOR``.
+    violated (:func:`_circle_audit`).  Raises if h' vanishes, relative to
+    |h'(0)|, at a sample point of either grid; so the probe of c h is that
+    of h.  The verdict is taken within ``TOLERANCE_FLOOR``.
     """
-    if not 0.0 < radius < 1.0:
-        raise ValueError("radius must lie in (0, 1)")
+    _check_radius(radius)
     order = _require_order(order, 1)
     angles = _require_order(angles, 1, "angles")
     sample_radius = (1.0 + radius) / 2.0
@@ -293,13 +299,16 @@ def convexity_probe(h, radius: float, angles: int, order: int = 2048) -> BoundRe
     if vals.shape != grid.shape:
         raise ValueError(f"h returned shape {vals.shape} for a grid of {m} points")
     dft = np.fft.fft(vals)
-    if abs(dft[1]) / (m * sample_radius) < 1e-12:
+    # both zero guards are relative, as c h has the verdict of h:
+    # |h'(0)| sample_radius against max |h|, then min |h'| against |h'(0)|
+    slope = abs(dft[1]) / (m * sample_radius)  # |h'(0)|
+    if slope * sample_radius <= 1e-12 * np.max(np.abs(vals)):
         raise ValueError("probe requires h'(0) != 0")
     k = np.arange(m)
     # (radius / sample_radius)**k by exp, which is 3x faster than np.power here
     w = k * (np.exp(k * np.log(radius / sample_radius)) / m)
     q, h1, reason = _circle_audit("h'", dft * w, dft * (k * w), radius, angles)
-    if np.any(np.abs(h1) < 1e-12):
+    if np.any(np.abs(h1) < 1e-12 * slope):
         raise ValueError(f"h' vanishes at sample radius {radius}")
     z = _circle_grid(radius, angles)
     idx = int(np.argmin(q))
@@ -330,16 +339,14 @@ def reference_constants() -> dict:
 def sharpness(target, order: int = 4096, tolerance: float = TOLERANCE_FLOOR) -> BoundReport:
     """Sharpness of the target's sum bound on its extremal function.
 
-    Sums the closed-form |gamma_n|^2 to `order` and compares against
-    ``target.sum_bound()`` within max(:func:`sum_tail`, `tolerance`); the
-    verdict must be holds-with-equality for every admissible parameter.
+    Sums the closed-form |gamma_n|^2 to `order` and checks equality with
+    ``target.sum_bound()`` (:func:`_report` widens `tolerance` to the
+    :func:`sum_tail`); holds-with-equality for every admissible parameter.
     """
     partial = sum_gamma_sq(extremal_gammas(target, order))
     tail = sum_tail(target, order)
     context = {**target.describe(), "order": int(order)}
-    # tolerance first: max(tail, nan) is the tail, which would hide the NaN
-    tol = max(tolerance, tail)
-    return _report(partial, target.sum_bound(), tail, context, tol, equality_applicable=True)
+    return _report(partial, target.sum_bound(), tail, context, tolerance, equality_applicable=True)
 
 
 # sharpness_strip and sharpness_dorff stay: perfbench/workloads.py calls them by name

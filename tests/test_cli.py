@@ -346,12 +346,18 @@ class TestConfigErrors:
         ],
     )
     def test_size_limits(self, option, monkeypatch, capsys):
-        # rejected by validation, before the command allocates anything
-        monkeypatch.setattr(cli, "_DISPATCH", {})
+        # rejected by validation, before the command allocates anything; an
+        # empty command table once failed every case as an unknown command
+        def run(config):
+            pytest.fail("the command ran past validation")
+
+        monkeypatch.setitem(cli._DISPATCH, "check-membership", run)
         assert main(["check-membership", "--delta", "2.0", *option]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert json.loads(err)["kind"] == "config"
+        error = json.loads(err)
+        assert error["kind"] == "config"
+        assert error["error"].startswith(option[0].lstrip("-"))
 
     def test_grid_angles_floor(self, capsys):
         # three circle points once passed as a membership audit
@@ -396,6 +402,45 @@ class TestConfigErrors:
         assert proc.stdout == ""
         [line] = proc.stderr.splitlines()
         assert json.loads(line)["kind"] == "config"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--alpha", "0.5", "--beta", "1.5"],
+            ["coeffs", "--delta", "2.0", "--order", "8"],
+            ["verify-sharpness", "--delta", "2.0", "--order", "64"],
+            ["check-membership", "--delta", "2.0", "--samples", "1", "--order", "1500"],
+            ["generate", "--delta", "2.0", "--order", "8"],
+            ["polylog", "--theta", "1.0"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_rejected(self, argv, capsys):
+        # four commands ignored it and exited 0; check-membership exited 2
+        # with numpy's "expected non-negative integer", which names no option
+        assert main([*argv, "--seed", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "seed must be non-negative", "kind": "config"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--alpha", "0.5", "--beta", "1.5"],
+            ["generate", "--delta", "2.0", "--order", "8"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_output_path_is_config_error(self, argv, tmp_path, capsys):
+        # a FileNotFoundError exited 3 as an internal error
+        path = tmp_path / "missing" / "out.json"
+        assert main([*argv, "--output-path", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        error = json.loads(err)
+        assert error["kind"] == "config"
+        assert error["error"].startswith("cannot write --output-path: ")
+        assert str(path) in error["error"]
 
     def test_unknown_command_usage_error(self):
         proc = run_cli("frobnicate")

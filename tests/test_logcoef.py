@@ -55,6 +55,16 @@ class TestOrderArgument:
         assert extremal_gammas(HALF, order).shape == (300,)
         assert koebe_rotation(1.0, order)[0].order == 300
 
+    def test_narrow_numpy_integer_order_is_used_as_checked(self):
+        # order + 1 wrapped in np.int8 and np.int16, and the arrays were
+        # then allocated with a negative size
+        series, gammas = koebe_rotation(1.0, np.int8(127))
+        want_series, want_gammas = koebe_rotation(1.0, 127)
+        assert np.array_equal(series.coeffs, want_series.coeffs)
+        assert np.array_equal(gammas, want_gammas)
+        got = generate_member(HALF, ID, np.int16(32767))
+        assert np.array_equal(got.coeffs, generate_member(HALF, ID, 32767).coeffs)
+
 
 class TestLogCoefficients:
     def test_identity_function_has_zero_gammas(self):
@@ -210,6 +220,12 @@ class TestSchwarzSpec:
         # the record is for json, which refuses numpy's int64
         assert json.loads(json.dumps(spec.describe()))["k"] == 3
         assert type(spec.describe()["k"]) is int
+
+    def test_narrow_numpy_exponent_is_used_as_checked(self):
+        # (order - 1) // k ran in np.int8, which cannot hold 14 019
+        got = generate_member(HALF, SchwarzSpec("power", c=0.5, k=np.int8(3)), 14020)
+        want = generate_member(HALF, SchwarzSpec("power", c=0.5, k=3), 14020)
+        assert np.array_equal(got.coeffs, want.coeffs)
 
     def test_blaschke_series_matches_pointwise(self):
         a, phi = 0.4 + 0.3j, 0.7

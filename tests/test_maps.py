@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -48,6 +49,34 @@ class TestParams:
         for delta in (np.nan, np.inf):
             with pytest.raises(ValueError):
                 DorffParam(delta)
+
+    @pytest.mark.parametrize("real", [np.float32, np.float64])
+    def test_fields_are_python_floats(self, real):
+        # np.float32 fields gave float32 bounds (0.10280838 for the strip
+        # (0.5, 1.5)) and report contexts that json refused
+        for target, want in (
+            (StripParams(real(0.5), real(1.5)), HALF),
+            (StripParams(real(-1), real(3)), StripParams(-1.0, 3.0)),
+            (DorffParam(real(2)), DorffParam(2.0)),
+        ):
+            assert target.sum_bound() == want.sum_bound()
+            assert target.per_n_bound(7) == want.per_n_bound(7)
+            assert target.tail_constant == want.tail_constant
+            assert all(type(v) is float for v in target.describe().values())
+            json.dumps(target.describe())
+
+    def test_bound_overflow_raises(self):
+        # np.float64 edges overflowed to inf with only a RuntimeWarning
+        for real in (float, np.float64):
+            with pytest.raises(OverflowError):
+                StripParams(real(-1e300), real(1e300)).sum_bound()
+
+    def test_rejects_non_real_fields(self):
+        for alpha, beta in (("0.5", 1.5), (0.5, None), (0.5, 1.5 + 0j)):
+            with pytest.raises(ValueError, match="real number"):
+                StripParams(alpha, beta)
+        with pytest.raises(ValueError, match="real number"):
+            DorffParam("2.0")
 
     def test_rejects_underflowing_phase_fraction(self):
         # min(mu, 1 - mu) below the smallest normal double: the bounds built

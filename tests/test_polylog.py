@@ -108,6 +108,10 @@ class TestPolylogSeries:
         with pytest.raises(ValueError):
             polylog(2.5, 0.5)
 
+    def test_numpy_integer_weight(self):
+        # m ** (1 - s) in np.int64 raised on the negative exponent
+        assert polylog(np.int64(4), 0.5) == polylog(4, 0.5)
+
     def test_rejects_weight_above_48(self):
         # (2 000 001)^49, the largest n^s at the term cap, overflows a float
         with pytest.raises(ValueError, match="at most 48"):

@@ -65,6 +65,10 @@ class TestCalculus:
         with pytest.raises(ValueError):
             s.truncate(order)
 
+    def test_truncate_uses_the_checked_order(self):
+        # order + 1 wrapped to -128 in np.int8, and the slice kept 172 terms
+        assert TruncatedSeries(np.ones(300)).truncate(np.int8(127)).order == 127
+
 
 class TestExpLog:
     def test_exp_of_zero(self):

@@ -248,6 +248,10 @@ class TestSumTail:
         with pytest.raises(ValueError, match="order"):
             sum_tail(HALF, order)
 
+    def test_numpy_integer_order_is_used_as_checked(self):
+        # order**3 wrapped in np.int64: 3.95e-21 where the true tail is 1.25e-21
+        assert sum_tail(HALF, np.int64(3_000_000)) == sum_tail(HALF, 3_000_000)
+
 
 class TestRogosinski:
     def test_equality_for_identical_sequences(self):
@@ -470,6 +474,25 @@ class TestConvexityProbe:
         with pytest.raises(ValueError):
             convexity_probe(lambda z: z * z, 0.9, 64, order=64)
 
+    @pytest.mark.parametrize("c", [1e-13, 1.0, 1e13])
+    def test_constant_map_raises(self, c):
+        with pytest.raises(ValueError, match=r"h'\(0\) != 0"):
+            convexity_probe(lambda z: np.full_like(z, c), 0.9, 64, order=64)
+
+    @pytest.mark.parametrize(
+        "h",
+        [lambda z: z, lambda z: p_hat_eval(HALF, z), lambda z: z + 2.0 * z * z],
+        ids=["identity", "integrated-strip", "negative-control"],
+    )
+    def test_verdict_is_scale_free(self, h):
+        # the zero guards were absolute: at c = 1e-13 the probe raised
+        # "probe requires h'(0) != 0" for every map
+        base = convexity_probe(h, 0.9, 64, order=64)
+        for c in (1e-13, 1e13):
+            report = convexity_probe(lambda z: c * h(z), 0.9, 64, order=64)
+            assert report.verdict == base.verdict
+            assert report.context["re_min"] == pytest.approx(base.context["re_min"], rel=1e-12)
+
     @pytest.mark.parametrize("angles", [0, -1])
     def test_rejects_angles_below_one(self, angles):
         with pytest.raises(ValueError, match="angles must be an integer >= 1"):
@@ -547,9 +570,10 @@ class TestReport:
         with pytest.raises(ValueError, match="tolerance"):
             membership_check(identity(2048), HALF, 0.99, 256, tolerance=tolerance)
 
-    @pytest.mark.parametrize("tolerance", [np.nan, np.inf])
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf, -1.0])
     def test_sharpness_passes_a_bad_tolerance_on(self, tolerance):
-        # max(tail, nan) is the tail, which hid the NaN
+        # max(tail, nan) is the tail, which hid the NaN; max(tail, -1.0)
+        # hid the sign and read holds-with-equality
         with pytest.raises(ValueError, match="tolerance"):
             sharpness(HALF, 64, tolerance)
 
@@ -591,6 +615,13 @@ class TestSharpness:
         # order 100.5 read holds-with-equality with the float in its context
         with pytest.raises(ValueError, match="order"):
             sharpness(HALF, order)
+
+    def test_numpy_float_target_gives_a_json_context(self):
+        # json refused the np.float32 edges in the context
+        for target in (StripParams(np.float32(0.5), np.float32(1.5)), DorffParam(np.float32(2))):
+            report = sharpness(target, 64)
+            assert report.verdict == EQUALITY
+            json.dumps(report.context, allow_nan=False)
 
     def test_builds_no_extremal_series(self, monkeypatch):
         def no_series(_):
