@@ -138,22 +138,18 @@ def _emit(config: RunConfig, reports: list[BoundReport]) -> str:
         return text + "\n"
     # CSV: fixed report columns plus the union of context keys
     keys = sorted({k for r in reports for k in r.context})
+    rows = ([r.lhs, r.rhs, r.tail_estimate, r.verdict, *(r.context.get(k, "") for k in keys)]
+            for r in reports)
+    return _csv(["lhs", "rhs", "tail_estimate", "verdict", *keys], rows)
+
+
+def _csv(header: list, rows) -> str:
+    """CSV with a header row; floats (NumPy's float64 is one) to 17 significant digits."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["lhs", "rhs", "tail_estimate", "verdict", *keys])
-    for r in reports:
-        row = [_fmt(r.lhs), _fmt(r.rhs), _fmt(r.tail_estimate), r.verdict]
-        row += [_fmt(r.context.get(k, "")) for k in keys]
-        writer.writerow(row)
+    writer.writerow(header)
+    writer.writerows([format(v, ".17g") if isinstance(v, float) else v for v in r] for r in rows)
     return buf.getvalue()
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
 
 
 def _write(text: str, path: str | None) -> None:
@@ -179,23 +175,22 @@ def _exit_code(reports: list[BoundReport]) -> int:
 # -- commands ----------------------------------------------------------------
 
 
-def _cmd_bounds(config: RunConfig) -> tuple[list[BoundReport], int]:
+def _cmd_bounds(config: RunConfig) -> tuple[str, int]:
     target = config.target()
     context = dict(reference_constants())
     context.update(target.describe(), kind=f"bound_{target.family}")
-    reports = [_report(0.0, float(target.sum_bound()), 0.0, context)]
-    return reports, _exit_code(reports)
+    reports = [_report(0.0, target.sum_bound(), 0.0, context)]
+    return _emit(config, reports), _exit_code(reports)
 
 
-def _cmd_coeffs(config: RunConfig) -> tuple[list[BoundReport], int]:
+def _cmd_coeffs(config: RunConfig) -> tuple[str, int]:
     target = config.target()
     gammas = extremal_gammas(target, config.order)
     # per_n_bound(n), not audit_member's per_n_bound(1) / n: see there
     bounds = target.per_n_bound(np.arange(1, config.order + 1))
     reports = []
-    for n in range(1, config.order + 1):
-        g = complex(gammas[n - 1])
-        lhs, rhs = abs(g), float(bounds[n - 1])
+    for n, g, rhs in zip(range(1, config.order + 1), gammas.tolist(), bounds.tolist()):
+        lhs = abs(g)
         context = {
             "n": n,
             "gamma_re": g.real,
@@ -203,15 +198,15 @@ def _cmd_coeffs(config: RunConfig) -> tuple[list[BoundReport], int]:
             "slack": rhs - lhs,
         }
         reports.append(_report(lhs, rhs, 0.0, context, config.tolerance))
-    return reports, _exit_code(reports)
+    return _emit(config, reports), _exit_code(reports)
 
 
-def _cmd_verify_sharpness(config: RunConfig) -> tuple[list[BoundReport], int]:
+def _cmd_verify_sharpness(config: RunConfig) -> tuple[str, int]:
     report = sharpness(config.target(), config.order, config.tolerance)
-    return [report], 0 if report.verdict == EQUALITY else 1
+    return _emit(config, [report]), 0 if report.verdict == EQUALITY else 1
 
 
-def _cmd_check_membership(config: RunConfig) -> tuple[list[BoundReport], int]:
+def _cmd_check_membership(config: RunConfig) -> tuple[str, int]:
     target = config.target()
     need = audit_min_order(config.radius)
     if config.order < need:
@@ -229,7 +224,7 @@ def _cmd_check_membership(config: RunConfig) -> tuple[list[BoundReport], int]:
         ):
             context = {**r.context, "sample": index, "seed": config.seed, **spec.describe()}
             reports.append(replace(r, context=context))
-    return reports, _exit_code(reports)
+    return _emit(config, reports), _exit_code(reports)
 
 
 def _schwarz_from_config(config: RunConfig) -> SchwarzSpec:
@@ -242,23 +237,18 @@ def _schwarz_from_config(config: RunConfig) -> SchwarzSpec:
     return SchwarzSpec(config.schwarz, c=c, k=config.k, a=a, phi=config.phi)
 
 
-def _cmd_generate(config: RunConfig) -> tuple[list[BoundReport], int]:
+def _cmd_generate(config: RunConfig) -> tuple[str, int]:
     target = config.target()
     try:
         spec = _schwarz_from_config(config)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     member = generate_member(target, spec, config.order)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "re", "im"])
-    for n, c in enumerate(member.coeffs):
-        writer.writerow([n, _fmt(c.real), _fmt(c.imag)])
-    _write(buf.getvalue(), config.output_path)
-    return [], 0
+    rows = ((n, c.real, c.imag) for n, c in enumerate(member.coeffs.tolist()))
+    return _csv(["n", "re", "im"], rows), 0
 
 
-def _cmd_polylog(config: RunConfig) -> tuple[list[BoundReport], int]:
+def _cmd_polylog(config: RunConfig) -> tuple[str, int]:
     if config.theta is not None and (config.z_re is not None or config.z_im is not None):
         raise ConfigError("give either --theta or --z-re/--z-im, not both")
     context: dict = {"s": config.s}
@@ -301,7 +291,7 @@ def _cmd_polylog(config: RunConfig) -> tuple[list[BoundReport], int]:
         deviation = max(deviation, abs(closed - symmetric))
     tol = max(config.tolerance, 1e-8)
     reports = [_report(deviation, tol, result.tail_bound, context, tolerance=0.0)]
-    return reports, _exit_code(reports)
+    return _emit(config, reports), _exit_code(reports)
 
 
 _DISPATCH = {
@@ -377,9 +367,8 @@ def main(argv=None) -> int:
         # record rather than a warning ahead of a report
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             config.validate()
-            reports, code = _DISPATCH[config.command](config)
-            if config.command != "generate":
-                _write(_emit(config, reports), config.output_path)
+            text, code = _DISPATCH[config.command](config)
+            _write(text, config.output_path)
     except ConfigError as exc:
         return _error(str(exc), "config", 2)
     except ValueError as exc:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import DorffParam, StripParams
+from .maps import DorffParam, StripParams, _number, _store_numbers
 from .series import TruncatedSeries, _require_order, log_normalized, series_exp
 
 __all__ = [
@@ -36,8 +36,9 @@ __all__ = [
 SCALED_ROTATION = "scaled-rotation"
 POWER = "power"
 BLASCHKE = "blaschke-factor"
-# the float fields each kind reads (``SchwarzSpec._form``)
-_FIELDS = {SCALED_ROTATION: ("c",), POWER: ("c",), BLASCHKE: ("a", "phi")}
+# the number fields each kind reads (``SchwarzSpec._form``) and their types
+_FIELDS = {SCALED_ROTATION: {"c": complex}, POWER: {"c": complex},
+           BLASCHKE: {"a": complex, "phi": float}}
 
 
 @dataclass(frozen=True)
@@ -63,9 +64,9 @@ class SchwarzSpec:
     def __post_init__(self) -> None:
         if self.kind not in _FIELDS:
             raise ValueError(f"unknown Schwarz family {self.kind!r}")
+        _store_numbers(self, "Schwarz parameter", **_FIELDS[self.kind])
         for name in _FIELDS[self.kind]:
-            value = complex(getattr(self, name))
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"Schwarz parameter {name} must be finite")
         s, k, zeros = self._form()
         if abs(s) > 1.0 + 1e-12:
@@ -118,7 +119,7 @@ def koebe_rotation(eps: complex, order: int) -> tuple[TruncatedSeries, np.ndarra
     Coefficient n is n * eps**(n-1); gamma_n = eps**n / n, decaying only
     like 1/n.
     """
-    eps = complex(eps)
+    eps = _number(eps, complex, "Koebe rotation eps")
     if not abs(abs(eps) - 1.0) <= 1e-12:  # NaN fails the test too
         raise ValueError("Koebe rotation requires |eps| = 1")
     order = _require_order(order, 2)
@@ -240,9 +241,8 @@ def random_schwarz_spec(rng: np.random.Generator) -> SchwarzSpec:
     kind = rng.integers(3)
     phase = np.exp(2j * np.pi * rng.uniform())
     if kind == 0:
-        return SchwarzSpec(SCALED_ROTATION, c=complex(rng.uniform(0.0, 1.0) * phase))
+        return SchwarzSpec(SCALED_ROTATION, c=rng.uniform(0.0, 1.0) * phase)
     if kind == 1:
-        c = complex(rng.uniform(0.0, 1.0) * phase)
-        return SchwarzSpec(POWER, c=c, k=rng.integers(2, 6))
-    a = complex(rng.uniform(0.0, 0.8) * phase)
-    return SchwarzSpec(BLASCHKE, a=a, phi=float(rng.uniform(0.0, 2.0 * np.pi)))
+        return SchwarzSpec(POWER, c=rng.uniform(0.0, 1.0) * phase, k=rng.integers(2, 6))
+    a = rng.uniform(0.0, 0.8) * phase
+    return SchwarzSpec(BLASCHKE, a=a, phi=rng.uniform(0.0, 2.0 * np.pi))

@@ -9,9 +9,11 @@ integrated variant obtained by applying Int_0^z (.)/t dt, which majorizes
 log(f(z)/z) over the corresponding function class.
 
 Both parameter classes carry what the family-blind code needs: strip
-edges, map factors, integrated-map coefficients and the coefficient bounds.
+edges, map factors, integrated-map coefficients and the coefficient bounds,
+from fields stored as the Python floats that :func:`_store_numbers` checked.
 The pointwise maps read each family's formula from its factors, as
-``logcoef.generate_member`` does.
+``logcoef.generate_member`` does; a scalar point or index takes the array
+path and returns its NumPy scalar (a ``complex`` or ``float`` subclass).
 
 Each map takes one principal logarithm of the ratio of two factors with
 positive real part on the disc, which equals the difference of their
@@ -41,9 +43,6 @@ __all__ = [
     "b_tilde_eval",
 ]
 
-# sin(delta) degenerates at delta = pi; pointwise evaluation stays away
-# from the boundary while coefficient formulas (ratios) remain stable.
-_DELTA_EVAL_MARGIN = 1e-6
 # pi - np.pi rounded to a double
 _PI_LOW = 1.2246467991473532e-16
 
@@ -58,7 +57,7 @@ class StripParams:
     mu: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        _store_floats(self, "alpha", "beta")
+        _store_numbers(self, "strip parameter", alpha=float, beta=float)
         # the width too: finite edges can still overflow it
         if not np.all(np.isfinite((self.alpha, self.beta, self.width))):
             raise ValueError("strip parameters must be finite")
@@ -143,7 +142,7 @@ class DorffParam:
     delta: float
 
     def __post_init__(self) -> None:
-        _store_floats(self, "delta")
+        _store_numbers(self, "dorff parameter", delta=float)
         if not np.pi / 2.0 <= self.delta < np.pi:
             raise ValueError("delta must lie in [pi/2, pi)")
 
@@ -197,15 +196,19 @@ class DorffParam:
         return {"delta": self.delta}
 
 
-def _store_floats(target, *names: str) -> None:
-    """Store each named field of a frozen target as a Python float, so its
-    bounds are doubles and an overflow in them raises; ValueError unless
-    the field holds a real number (a string is not one)."""
-    for name in names:
-        value = getattr(target, name)
-        if not isinstance(value, numbers.Real):
-            raise ValueError(f"{target.family} parameter {name} must be a real number")
-        object.__setattr__(target, name, float(value))
+def _number(value, kind: type, name: str):
+    """`value` as a Python `kind`, float or complex; ValueError naming it
+    unless it is a number of that kind (a string, which kind() parses, is not)."""
+    if not isinstance(value, numbers.Real if kind is float else numbers.Complex):
+        raise ValueError(f"{name} must be a {'real' if kind is float else 'complex'} number")
+    return kind(value)
+
+
+def _store_numbers(obj, label: str, **kinds: type) -> None:
+    """Store each named field of a frozen `obj` as the number :func:`_number`
+    checked, so the code computes in doubles (an overflow raises) and records JSON."""
+    for name, kind in kinds.items():
+        object.__setattr__(obj, name, _number(getattr(obj, name), kind, f"{label} {name}"))
 
 
 def _check_index(n) -> np.ndarray:
@@ -219,10 +222,11 @@ def _check_index(n) -> np.ndarray:
 
 
 def _check_disc(z) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    if not np.all(np.abs(z) < 1.0):  # NaN fails the test too
-        raise ValueError("evaluation point must satisfy |z| < 1")
-    return z
+    z = np.asarray(z)
+    # the dtype before converting, as complex() parses a string; NaN fails too
+    if z.dtype.kind not in "iufc" or not np.all(np.abs(z) < 1.0):
+        raise ValueError("evaluation point must be a number with |z| < 1")
+    return z.astype(complex, copy=False)
 
 
 def _map_minus_center(target, z):
@@ -234,8 +238,7 @@ def _map_minus_center(target, z):
     its own numerator times conj(d) / |d|^2, d = 1 - lam2 z, so neither
     cancels.  lam2 - lam1 is the map's first coefficient over kappa,
     which ``hat_coeff(1)`` forms without the subtraction that loses the
-    digits of a strip phase near 0 or 1.  log1p of w where |w| < 1/2;
-    elsewhere |log(1 + w)| >= 0.4, and the log of the ratio keeps its digits.
+    digits of a strip phase near 0 or 1 (:func:`_log1p_split`).
     """
     z = _check_disc(z)
     kappa, lam1, lam2 = target.factors()
@@ -243,11 +246,7 @@ def _map_minus_center(target, z):
     conj_den = np.conj(den)
     den_sq = den.real * den.real + den.imag * den.imag
     w = (target.hat_coeff(1) / kappa) * z * conj_den / den_sq
-    small = np.abs(w) < 0.5
-    # the far points feed log1p a 0, so it meets no |1 + w| near 0
-    near = _log1p(np.where(small, w, 0.0))
-    val = kappa * np.where(small, near, _log((1.0 - lam1 * z) * conj_den / den_sq))
-    return complex(val) if val.ndim == 0 else val
+    return kappa * _log1p_split(w, (1.0 - lam1 * z) * conj_den / den_sq)
 
 
 def _integrated_map(target, z):
@@ -255,8 +254,7 @@ def _integrated_map(target, z):
     its center over t from 0 to z, by Int_0^z log(1 - c t)/t dt = -Li_2(c z)."""
     z = _check_disc(z)
     kappa, lam1, lam2 = target.factors()
-    val = kappa * (_li2(lam2 * z) - _li2(lam1 * z))
-    return complex(val) if val.ndim == 0 else val
+    return kappa * (_li2(lam2 * z) - _li2(lam1 * z))
 
 
 def p_strip_eval(p: StripParams, z):
@@ -269,8 +267,7 @@ def b_strip_coeff(p: StripParams, n):
     n = _check_index(n)
     s, _, r, _ = _reduced_phase(p, n)
     one_minus_phase = _complex(2.0 * np.sin(np.pi * r) ** 2, -s * np.sin(2.0 * np.pi * r))
-    val = (p.width / (n * np.pi)) * 1j * one_minus_phase
-    return complex(val) if val.ndim == 0 else val
+    return (p.width / (n * np.pi)) * 1j * one_minus_phase
 
 
 def _reduced_phase(p: StripParams, n):
@@ -331,6 +328,14 @@ def _log1p(w):
     return _complex(0.5 * np.log1p(x * (2.0 + x) + y * y), np.arctan2(y, 1.0 + x))
 
 
+def _log1p_split(w, far):
+    """log(1 + w): log1p of w where |w| < 1/2, elsewhere the log of `far`,
+    the caller's 1 + w, which keeps its digits as |log(1 + w)| >= 0.4 there."""
+    small = np.abs(w) < 0.5
+    # the far points feed log1p a 0, so it meets no |1 + w| near 0
+    return np.where(small, _log1p(np.where(small, w, 0.0)), _log(far))
+
+
 def _log(v):
     """Principal log of v != 0 from its modulus and phase, in real arithmetic."""
     return _complex(np.log(np.abs(v)), np.arctan2(v.imag, v.real))
@@ -354,9 +359,7 @@ def dorff_eval(d: DorffParam, z):
     Restricted to delta <= pi - 1e-6, the edge of :func:`b_tilde_eval`;
     the single log of the ratio keeps its digits up to there.
     """
-    if d.delta > np.pi - _DELTA_EVAL_MARGIN:
-        raise ValueError("pointwise Dorff evaluation needs delta <= pi - 1e-6")
-    return _map_minus_center(d, z)
+    return _map_minus_center(_evaluable(d), z)
 
 
 def a_dorff_coeff(d: DorffParam, n):
@@ -368,8 +371,7 @@ def a_dorff_coeff(d: DorffParam, n):
     """
     n = _check_index(n)
     eps = d._pi_minus_delta
-    val = np.sin(n * eps) / (n * np.sin(eps))
-    return float(val) if val.ndim == 0 else val
+    return np.sin(n * eps) / (n * np.sin(eps))
 
 
 def b_tilde_eval(d: DorffParam, z):
@@ -378,6 +380,12 @@ def b_tilde_eval(d: DorffParam, z):
     Restricted to delta <= pi - 1e-6: closer to pi the 1/(2 sin delta)
     prefactor amplifies rounding in the Li_2 difference.
     """
-    if d.delta > np.pi - _DELTA_EVAL_MARGIN:
+    return _integrated_map(_evaluable(d), z)
+
+
+def _evaluable(d: DorffParam) -> DorffParam:
+    # sin(delta) degenerates at delta = pi: both pointwise Dorff maps stay
+    # this far from it, while the coefficient formulas (ratios) remain stable
+    if d.delta > np.pi - 1e-6:
         raise ValueError("pointwise Dorff evaluation needs delta <= pi - 1e-6")
-    return _integrated_map(d, z)
+    return d

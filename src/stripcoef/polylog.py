@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import _log, _log1p
+from .maps import _log1p_split, _number
 from .series import _require_order
 
 __all__ = [
@@ -95,7 +95,7 @@ def polylog(s: int, z: complex, tol: float = 1e-12) -> PolylogResult:
         raise ValueError(f"polylog weight s must be at most {_MAX_WEIGHT}")
     if not 0.0 < tol < math.inf:  # NaN too
         raise ValueError("tolerance must be positive and finite")
-    z = complex(z)
+    z = _number(z, complex, "polylog argument")
     absz = abs(z)
     if not absz <= 1.0 + _ABS_TOL:  # NaN too
         raise ValueError("polylog argument must satisfy |z| <= 1")
@@ -138,7 +138,7 @@ def li4_quadrature(z: complex) -> complex:
     :func:`polylog`; requires |z| <= 1 and z != 1 (the path then never
     meets the branch cut of the logarithm).
     """
-    z = complex(z)
+    z = _number(z, complex, "li4_quadrature argument")
     if not abs(z) <= 1.0 + _ABS_TOL:  # NaN too
         raise ValueError("li4_quadrature argument must satisfy |z| <= 1")
     if z == 1.0:
@@ -149,10 +149,8 @@ def li4_quadrature(z: complex) -> complex:
     for _ in range(_QUAD_MAX_HALVINGS + 1):
         t = np.arange(-4.0, 3.0 + step, step)
         u = np.exp(0.5 * np.pi * np.sinh(t))
-        # log(1 + w), w = -z e^{-u}, split as in maps._map_minus_center
         w = -z * np.exp(-u)
-        small = np.abs(w) < 0.5
-        log = np.where(small, _log1p(np.where(small, w, 0.0)), _log(1.0 + w))
+        log = _log1p_split(w, 1.0 + w)
         # du = (pi/2) cosh(t) u dt
         estimate = -0.25 * np.pi * step * complex(np.sum(np.cosh(t) * u**3 * log))
         if previous is not None and abs(estimate - previous) <= _QUAD_TOL * abs(estimate):

@@ -57,9 +57,10 @@ class TruncatedSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs) -> None:
-        c = np.array(coeffs, dtype=complex)
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("coefficients must be a nonempty 1-D sequence")
+        c = np.asarray(coeffs)
+        if c.dtype.kind not in "iufc" or c.ndim != 1 or c.size == 0:
+            raise ValueError("coefficients must be a nonempty 1-D sequence of numbers")
+        c = c.astype(complex)  # always a copy: the caller keeps no handle on it
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 

@@ -2,7 +2,8 @@
 
 Every check emits a :class:`BoundReport` with the computed left-hand
 quantity, the sharp bound it is tested against, a truncation-tail
-estimate, and a verdict.
+estimate, and a verdict, as Python ints, floats (NumPy's float64 among
+them) and strings; a radius is used as the float :func:`_check_radius` returns.
 Every verdict is taken within one `tolerance`, ``TOLERANCE_FLOOR`` = 1e-9
 by default.  Only an equality check's proven tail widens it (:func:`_report`);
 the circle audits' ``radius**order`` bounds no stated quantity and widens nothing.
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .logcoef import extremal_gammas, log_coefficients
-from .maps import DorffParam, StripParams
+from .maps import DorffParam, StripParams, _number
 from .series import TruncatedSeries, _fft_len, _require_order
 
 __all__ = [
@@ -101,9 +102,11 @@ def _report(
     return BoundReport(lhs, rhs, tail, verdict, context)
 
 
-def _check_radius(radius: float) -> None:
+def _check_radius(radius: float) -> float:
+    radius = _number(radius, float, "radius")
     if not 0.0 < radius < 1.0:  # NaN fails the test too
         raise ValueError("radius must lie in (0, 1)")
+    return radius
 
 
 def audit_min_order(radius: float, n_max: int = _AUDIT_N_MAX) -> int:
@@ -114,7 +117,7 @@ def audit_min_order(radius: float, n_max: int = _AUDIT_N_MAX) -> int:
     documented heuristic, not a proof); its coefficient checks read the
     first n_max + 1 terms.  ``n_max=0`` gives the membership floor alone.
     """
-    _check_radius(radius)
+    radius = _check_radius(radius)
     tail_order = int(np.ceil(_MEMBERSHIP_TAIL_EXPONENT / np.log(1.0 / radius)))
     return max(_MEMBERSHIP_MIN_ORDER, tail_order, n_max + 1)
 
@@ -221,12 +224,11 @@ def rogosinski_check(sub, dom, k_max: int, tolerance: float = TOLERANCE_FLOOR) -
     genuine excess, or a NaN in either sequence, verdicts as violated.
     """
     k_max = _require_order(k_max, 1, "k_max")
-    sub = np.asarray(sub, dtype=complex)[:k_max]
-    dom = np.asarray(dom, dtype=complex)[:k_max]
-    if len(sub) < k_max or len(dom) < k_max:
-        raise ValueError(f"both sequences must reach index {k_max}")
-    cum_sub = np.cumsum(np.abs(sub) ** 2)
-    cum_dom = np.cumsum(np.abs(dom) ** 2)
+    sub, dom = np.asarray(sub)[:k_max], np.asarray(dom)[:k_max]
+    if not {sub.dtype.kind, dom.dtype.kind} <= set("iufc") or min(len(sub), len(dom)) < k_max:
+        raise ValueError(f"both sequences must hold numbers up to index {k_max}")
+    cum_sub = np.cumsum(np.abs(sub.astype(complex)) ** 2)
+    cum_dom = np.cumsum(np.abs(dom.astype(complex)) ** 2)
     diff = cum_sub - cum_dom
     worst = int(np.argmax(diff))
     equal = bool(np.max(np.abs(diff)) <= tolerance)
@@ -252,6 +254,7 @@ def membership_check(
     ValueError when f/z is 0 or not finite at a sample point, where
     z f'/f is undefined.
     """
+    radius = _check_radius(radius)
     _check_order(f, radius, 0)
     angles = _require_order(angles, 1, "angles")
     if not f.is_normalized():
@@ -289,7 +292,7 @@ def convexity_probe(h, radius: float, angles: int, order: int = 2048) -> BoundRe
     |h'(0)|, at a sample point of either grid; so the probe of c h is that
     of h.  The verdict is taken within ``TOLERANCE_FLOOR``.
     """
-    _check_radius(radius)
+    radius = _check_radius(radius)
     order = _require_order(order, 1)
     angles = _require_order(angles, 1, "angles")
     sample_radius = (1.0 + radius) / 2.0

@@ -510,7 +510,11 @@ class TestExitCodeContract:
 
     def test_non_finite_report_is_internal_error(self, monkeypatch, capsys):
         nan_report = BoundReport(float("nan"), 1.0, 0.0, "holds", {})
-        monkeypatch.setitem(cli._DISPATCH, "bounds", lambda config: ([nan_report], 0))
+        # each command returns its output, which _emit refuses to form here
+        def bounds(config):
+            return cli._emit(config, [nan_report]), 0
+
+        monkeypatch.setitem(cli._DISPATCH, "bounds", bounds)
         assert main(["bounds", "--alpha", "0.5", "--beta", "1.5"]) == 3
         out, err = capsys.readouterr()
         assert out == ""

@@ -189,6 +189,11 @@ class TestKoebe:
         with pytest.raises(ValueError):
             koebe_rotation(0.5, 8)
 
+    def test_rejects_a_numeric_string(self):
+        # complex("1") parsed it, and the Koebe function came back
+        with pytest.raises(ValueError, match="complex number"):
+            koebe_rotation("1", 8)
+
     # a NaN modulus once passed the |eps| = 1 test and gave NaN series
     @pytest.mark.parametrize("eps", [complex("nan"), complex(1.0, np.nan), np.inf], ids=repr)
     def test_rejects_non_finite(self, eps):
@@ -273,6 +278,36 @@ class TestSchwarzSpec:
         for target in (HALF, DorffParam(2.0)):
             got = generate_member(target, spec, 300).coeffs
             assert got.tobytes() == generate_member(target, clean, 300).coeffs.tobytes()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": "scaled-rotation", "c": "0.5"},
+            {"kind": "power", "c": "0.5", "k": 2},
+            {"kind": "blaschke-factor", "a": "0.3"},
+            {"kind": "blaschke-factor", "a": 0.3, "phi": "1.0"},
+            {"kind": "blaschke-factor", "a": 0.3, "phi": 1.0 + 0.5j},
+        ],
+        ids=["c", "power-c", "a", "phi", "complex-phi"],
+    )
+    def test_rejects_non_numbers(self, fields):
+        # a string raised TypeError from complex() or, for phi, was
+        # multiplied by 1j; a complex phi gave a non-unimodular rotation
+        with pytest.raises(ValueError, match="Schwarz parameter"):
+            SchwarzSpec(**fields)
+
+    def test_numpy_fields_are_stored_as_python_numbers(self):
+        # json refused the np.float32 parts of an np.complex64 c
+        for spec in (
+            SchwarzSpec("scaled-rotation", c=np.complex64(0.5 + 0.1j)),
+            SchwarzSpec("power", c=np.float32(0.5), k=2),
+            SchwarzSpec("blaschke-factor", a=np.complex64(0.3j), phi=np.float32(1.0)),
+        ):
+            record = spec.describe()
+            assert all(type(v) in (str, int, float) for v in record.values())
+            json.dumps(record, allow_nan=False)
+        spec = SchwarzSpec("scaled-rotation", c=np.complex64(0.5 + 0.1j))
+        assert type(spec.c) is complex and spec.c == complex(np.complex64(0.5 + 0.1j))
 
     def test_non_finite_parameters_rejected(self):
         nan, inf = float("nan"), float("inf")

@@ -166,6 +166,14 @@ class TestStripMap:
             with pytest.raises(ValueError, match=r"\|z\| < 1"):
                 value(z)
 
+    @pytest.mark.parametrize("evaluate", [p_strip_eval, p_hat_eval, dorff_eval, b_tilde_eval])
+    def test_rejects_a_numeric_string(self, evaluate):
+        # complex() parsed "0.3", and the map returned its value there
+        target = HALF if evaluate in (p_strip_eval, p_hat_eval) else RIGHT
+        for z in ("0.3", ["0.3", 0.1]):
+            with pytest.raises(ValueError, match="must be a number"):
+                evaluate(target, z)
+
     def test_value_range_inside_strip(self):
         z = polar_grid(np.linspace(0.05, 0.999, 64), 64)
         re = np.real(p_strip_eval(HALF, z))
@@ -303,6 +311,10 @@ class TestDorffMap:
 
 
 class TestIntegratedDorffMap:
+    def test_rejects_delta_at_parameter_boundary(self):
+        with pytest.raises(ValueError, match=r"delta <= pi - 1e-6"):
+            b_tilde_eval(DorffParam(PI - 1e-7), 0.1)
+
     def test_coeff_is_scaled_map_coeff(self):
         assert RIGHT.hat_coeff(1) == 1.0
         assert abs(RIGHT.hat_coeff(3) + 1.0 / 9.0) < 1e-15
@@ -326,6 +338,32 @@ class TestIntegratedDorffMap:
         for _ in range(10):
             z = 0.5 * np.sqrt(rng.uniform()) * np.exp(2j * PI * rng.uniform())
             assert abs(b_tilde_eval(d, z) - evaluate(s, z)) < 1e-12
+
+
+class TestScalarsTakeTheArrayPath:
+    """A scalar point or index returns the NumPy scalar the array
+    arithmetic gives, so it rounds as the array entry does."""
+
+    @pytest.mark.parametrize("target", [StripParams(-1.3, 3.7), DorffParam(2.9)], ids=repr)
+    def test_scalar_hat_coeff_is_the_array_entry(self, target):
+        # a Python-int n divided in Python's complex arithmetic: 86 of these
+        # 199 strip coefficients differed from the array's in the last bit
+        n = np.arange(1, 200)
+        whole = target.hat_coeff(n)
+        scalars = np.array([target.hat_coeff(int(k)) for k in n])
+        assert scalars.tobytes() == whole.tobytes()
+
+    def test_scalars_return_numpy_scalars(self):
+        for value in (
+            p_strip_eval(HALF, 0.3),
+            p_hat_eval(HALF, 0.3j),
+            dorff_eval(RIGHT, 0.3),
+            b_tilde_eval(RIGHT, 0.3),
+            b_strip_coeff(HALF, 3),
+        ):
+            assert type(value) is np.complex128
+        assert type(a_dorff_coeff(RIGHT, 3)) is np.float64
+        assert p_strip_eval(HALF, 0.3) == p_strip_eval(HALF, [0.3])[0]
 
 
 def _mp_map(target, z, mpmath):

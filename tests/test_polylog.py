@@ -100,6 +100,11 @@ class TestPolylogSeries:
         with pytest.raises(ValueError, match=r"\|z\| <= 1"):
             polylog(4, z)
 
+    def test_rejects_a_numeric_string(self):
+        # complex("0.5") parsed it, and the sum ran
+        with pytest.raises(ValueError, match="complex number"):
+            polylog(2, "0.5")
+
     def test_rejects_small_weight(self):
         with pytest.raises(ValueError):
             polylog(1, 0.5)
@@ -178,6 +183,10 @@ class TestSymmetricCircle:
 class TestQuadrature:
     def test_at_zero(self):
         assert li4_quadrature(0.0) == 0.0
+
+    def test_rejects_a_numeric_string(self):
+        with pytest.raises(ValueError, match="complex number"):
+            li4_quadrature("0.5")
 
     def test_matches_series_at_minus_one(self):
         assert abs(li4_quadrature(-1.0) - polylog(4, -1.0).value) < 1e-8

@@ -65,6 +65,10 @@ class TestCalculus:
         with pytest.raises(ValueError):
             s.truncate(order)
 
+    def test_truncate_rejects_an_order_past_its_own(self):
+        with pytest.raises(ValueError, match="cannot extend"):
+            TruncatedSeries([0, 1]).truncate(2)
+
     def test_truncate_uses_the_checked_order(self):
         # order + 1 wrapped to -128 in np.int8, and the slice kept 172 terms
         assert TruncatedSeries(np.ones(300)).truncate(np.int8(127)).order == 127
@@ -380,6 +384,18 @@ class TestCircleSampling:
     def test_rejects_undersampling(self):
         with pytest.raises(ValueError):
             coeffs_by_circle_sampling(lambda z: z, 8, 0.5, samples=16)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("coeffs", [[], np.zeros((2, 2))], ids=["empty", "2-d"])
+    def test_rejects_a_non_sequence(self, coeffs):
+        with pytest.raises(ValueError, match="nonempty 1-D sequence"):
+            TruncatedSeries(coeffs)
+
+    def test_rejects_numeric_strings(self):
+        # complex() parsed each one, and the series held 0 + z
+        with pytest.raises(ValueError, match="sequence of numbers"):
+            TruncatedSeries(["0", "1"])
 
 
 class TestTags:

@@ -474,6 +474,19 @@ class TestConvexityProbe:
         with pytest.raises(ValueError):
             convexity_probe(lambda z: z * z, 0.9, 64, order=64)
 
+    def test_rejects_a_scalar_valued_h(self):
+        with pytest.raises(ValueError, match="h returned shape"):
+            convexity_probe(lambda z: 1.0, 0.9, 64, order=64)
+
+    def test_flags_a_near_zero_of_h_prime_on_the_ring(self):
+        # h' = 1 - (1 - 1e-13) (z / 0.9)**8 comes within 1e-13 of 0 at the
+        # eight ring points z**8 = 0.9**8: below 1e-12 of h'(0) = 1
+        def h(z):
+            return z - (1.0 - 1e-13) * z**9 / (9.0 * 0.9**8)
+
+        with pytest.raises(ValueError, match="h' vanishes at sample radius 0.9"):
+            convexity_probe(h, 0.9, 64, order=64)
+
     @pytest.mark.parametrize("c", [1e-13, 1.0, 1e13])
     def test_constant_map_raises(self, c):
         with pytest.raises(ValueError, match=r"h'\(0\) != 0"):
@@ -542,6 +555,50 @@ class TestSizeArguments:
             assert report.verdict != VIOLATED
             json.dumps(report.context, allow_nan=False)
         assert type(reports[0].context["order"]) is int
+
+
+class TestNumberArguments:
+    """A radius is a real number, checked once and used as the Python float
+    the check returns; a sequence must hold numbers, never strings."""
+
+    def test_numpy_float_radius_gives_json_contexts(self):
+        # the np.float32 radius stayed in both contexts, which json refused
+        radius = np.float32(0.99)
+        f = generate_member(HALF, SchwarzSpec.identity(), 2048)
+        reports = [
+            membership_check(f, HALF, radius, 256),
+            convexity_probe(lambda z: z, radius, 64, order=64),
+            *audit_member(f, HALF, radius, 128),
+        ]
+        for report in reports[:3]:
+            assert type(report.context["radius"]) is float
+            assert report.context["radius"] == float(radius)
+        for report in reports:
+            assert report.verdict != VIOLATED
+            json.dumps(report.context, allow_nan=False)
+
+    def test_string_radius_rejected(self):
+        # "0.99" < 1.0 raised TypeError
+        f = generate_member(HALF, SchwarzSpec.identity(), 2048)
+        for call in (
+            lambda: audit_min_order("0.99"),
+            lambda: membership_check(f, HALF, "0.99", 256),
+            lambda: audit_member(f, HALF, "0.99", 256),
+            lambda: convexity_probe(lambda z: z, "0.9", 64, order=64),
+        ):
+            with pytest.raises(ValueError, match="radius must be a real number"):
+                call()
+
+    def test_rogosinski_squares_integers_as_doubles(self):
+        # an int64 square would wrap past 9.2e18
+        report = rogosinski_check([4_000_000_000], [1], 1)
+        assert report.lhs == 1.6e19 and report.verdict == VIOLATED
+
+    def test_rogosinski_rejects_numeric_strings(self):
+        # np.asarray(..., dtype=complex) parsed them, and the check ran
+        for sub, dom in ((["0.1"], ["0.2"]), ([0.1], ["0.2"])):
+            with pytest.raises(ValueError, match="numbers"):
+                rogosinski_check(sub, dom, 1)
 
 
 class TestReferenceConstants:
