@@ -14,6 +14,7 @@ order)``.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -36,6 +37,9 @@ __all__ = [
 SCALED_ROTATION = "scaled-rotation"
 POWER = "power"
 BLASCHKE = "blaschke-factor"
+# a zero-free member keeps E_j only up to where the Cauchy bound on what
+# it drops falls to this (:func:`_cauchy_length`)
+_CAUCHY_TAIL = 2.0**-60
 # the number fields each kind reads (``SchwarzSpec._form``) and their types
 _FIELDS = {SCALED_ROTATION: {"c": complex}, POWER: {"c": complex},
            BLASCHKE: {"a": complex, "phi": float}}
@@ -206,6 +210,11 @@ def generate_member(target, w: SchwarzSpec, order: int) -> TruncatedSeries:
     without, the exponent is (rho_j / k) (tau s)^j (``target.hat_rotation``),
     so E_j = X_j (tau s / |s|)^j with X the exponential of the real series
     rho_j |s|^j / k, which keeps |s| so as to grow no faster than E.
+    For |s| < 1, E(u) = exp(p_hat(s u) / k) is analytic past the unit
+    disc and |E_j| <= M |s|^j by Cauchy's estimate, so only E_0..E_L are
+    computed, L the proven length of :func:`_cauchy_length`, and the
+    coefficients past 1 + Lk are exact zeros: they change f and f' by at
+    most 2^-60 anywhere on the closed unit disc.  f.order stays `order`.
     """
     order = _require_order(order, 2)
     scale, step, zeros = w._form()
@@ -218,12 +227,39 @@ def generate_member(target, w: SchwarzSpec, order: int) -> TruncatedSeries:
         a = TruncatedSeries(q_minus_1).integrate_over_t().coeffs / step
         coeffs[1::step] = series_exp(TruncatedSeries(a)).coeffs
     else:
-        n, r = np.arange(1, m + 1), abs(scale)
+        r = abs(scale)
+        n = np.arange(1, _cauchy_length(target, r, step, m) + 1)
         tau, rho = target.hat_rotation(n)
         a = np.concatenate([[0.0], rho * _powers(r, n).real / step])
-        coeffs[1::step] = series_exp(TruncatedSeries(a)).coeffs
-        coeffs[1 + step :: step] *= _powers(tau * scale / r if r else tau, n)
+        stop = 2 + step * len(n)  # past coefficient 1 + Lk, the last E_j kept
+        coeffs[1:stop:step] = series_exp(TruncatedSeries(a)).coeffs
+        coeffs[1 + step : stop : step] *= _powers(tau * scale / r if r else tau, n)
     return TruncatedSeries(coeffs)
+
+
+def _cauchy_length(target, q: float, k: int, m: int) -> int:
+    """The least L < m with sum_{j > L} (1 + jk) M q^j <= 2^-60, else m,
+    for E(u) = exp(p_hat(s u) / k) with |s| = q (:func:`generate_member`).
+
+    |hat_n| <= 2C/n^2 (C = ``target.tail_constant``) bounds |p_hat| by
+    C pi^2/3 on the closed disc, so |E| <= M = exp(C pi^2/(3k)) on
+    |u| = 1/q, and Cauchy's estimate gives |E_j| <= M q^j.  The sum bounds
+    |f - f_L| and |f' - f_L'| on the closed unit disc for f_L = z E_L(z^k);
+    its closed form M q^x [(1 + kx)(1 - q) + kq] / (1 - q)^2 at x = L + 1
+    decreases in L and is compared in logs, where a huge M cannot overflow.
+    """
+    if q >= 1.0:
+        return m
+    if q == 0.0:
+        return 0
+    log_q, log_m = math.log(q), target.tail_constant * math.pi**2 / (3 * k)
+    limit = math.log(_CAUCHY_TAIL) - log_m + 2.0 * math.log1p(-q)
+
+    def below(j: int) -> bool:
+        x = j + 1
+        return x * log_q + math.log((1 + k * x) * (1.0 - q) + k * q) <= limit
+
+    return bisect.bisect_left(range(m), True, key=below)
 
 
 def random_strip_params(rng: np.random.Generator) -> StripParams:

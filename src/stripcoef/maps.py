@@ -198,8 +198,11 @@ class DorffParam:
 
 def _number(value, kind: type, name: str):
     """`value` as a Python `kind`, float or complex; ValueError naming it
-    unless it is a number of that kind (a string, which kind() parses, is not)."""
-    if not isinstance(value, numbers.Real if kind is float else numbers.Complex):
+    unless it is a number of that kind (a string, which kind() parses, is
+    not, nor a bool, which the size and array rules refuse as well)."""
+    if isinstance(value, bool) or not isinstance(
+        value, numbers.Real if kind is float else numbers.Complex
+    ):
         raise ValueError(f"{name} must be a {'real' if kind is float else 'complex'} number")
     return kind(value)
 

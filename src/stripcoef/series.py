@@ -87,10 +87,6 @@ class TruncatedSeries:
         out[1:] = self.coeffs[1:] / k
         return TruncatedSeries(out)
 
-    def shift(self) -> TruncatedSeries:
-        """Multiply by z exactly; order grows by one."""
-        return TruncatedSeries(np.concatenate([[0.0], self.coeffs]))
-
     def truncate(self, order: int) -> TruncatedSeries:
         """Drop coefficients above `order` (an integer from 0 to self.order)."""
         order = _require_order(order, 0)

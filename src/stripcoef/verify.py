@@ -193,19 +193,20 @@ def _circle_grid(radius: float, angles: int) -> np.ndarray:
     return grid
 
 
-def _circle_audit(name: str, g, zg, radius: float, angles: int) -> tuple:
+def _circle_audit(name: str, g, zg, radius: float, angles: int, degree: int) -> tuple:
     """Re(z g'/g) and g/z on :func:`_circle_grid` (radius, angles), and the
     reason from the zero count of g/z, taken again on a 5-smooth grid of
-    >= max(angles, len(g) - 1) points when undersampled.  `g` and `zg` are
-    the modes of g and z g' (coefficient k times radius**k); `angles` is
-    a Python int >= 1 (:func:`series._require_order`).  Raises ValueError
-    where g/z is 0 or not finite, before dividing by g."""
+    >= max(angles, degree) points when undersampled.  `g` and `zg` are
+    the modes of g and z g' (coefficient k times radius**k), those past
+    len(g) being 0 up to `degree`; `angles` is a Python int >= 1
+    (:func:`series._require_order`).  Raises ValueError where g/z is 0 or
+    not finite, before dividing by g."""
     g_vals = _fold(g, angles)
     g_over_z = g_vals / _circle_grid(radius, angles)
     count = _winding(name, g_over_z)
     if count is None:
         # g[1:] are the modes of radius * g/z, which has the phase of g/z
-        count = _winding(name, _fold(g[1:], _fft_len(max(angles, len(g) - 1))))
+        count = _winding(name, _fold(g[1:], _fft_len(max(angles, degree))))
     if count is None:
         reason = "zero count undersampled"
     else:
@@ -224,9 +225,14 @@ def rogosinski_check(sub, dom, k_max: int, tolerance: float = TOLERANCE_FLOOR) -
     genuine excess, or a NaN in either sequence, verdicts as violated.
     """
     k_max = _require_order(k_max, 1, "k_max")
-    sub, dom = np.asarray(sub)[:k_max], np.asarray(dom)[:k_max]
-    if not {sub.dtype.kind, dom.dtype.kind} <= set("iufc") or min(len(sub), len(dom)) < k_max:
+    sub, dom = np.asarray(sub), np.asarray(dom)
+    if (
+        {sub.ndim, dom.ndim} != {1}
+        or not {sub.dtype.kind, dom.dtype.kind} <= set("iufc")
+        or min(len(sub), len(dom)) < k_max
+    ):
         raise ValueError(f"both sequences must hold numbers up to index {k_max}")
+    sub, dom = sub[:k_max], dom[:k_max]
     cum_sub = np.cumsum(np.abs(sub.astype(complex)) ** 2)
     cum_dom = np.cumsum(np.abs(dom.astype(complex)) ** 2)
     diff = cum_sub - cum_dom
@@ -260,9 +266,11 @@ def membership_check(
     if not f.is_normalized():
         raise ValueError("membership audit requires a normalized series")
     lower, upper = target.lower, target.upper
-    k = np.arange(len(f.coeffs))
-    scale = radius**k
-    re, _, reason = _circle_audit("f/z", f.coeffs * scale, (k * f.coeffs) * scale, radius, angles)
+    # up to the last nonzero coefficient: trailing exact zeros would only
+    # add rows of zeros to the fold's sum, which leave it as it is
+    k = np.arange(np.flatnonzero(f.coeffs)[-1] + 1)
+    c, scale = f.coeffs[: len(k)], radius**k
+    re, _, reason = _circle_audit("f/z", c * scale, (k * c) * scale, radius, angles, f.order)
     re_min, re_max = float(np.min(re)), float(np.max(re))
     # np.max keeps a NaN, which the builtin max drops when it comes second
     excursion = float(np.max([0.0, lower - re_min, re_max - upper]))
@@ -310,7 +318,7 @@ def convexity_probe(h, radius: float, angles: int, order: int = 2048) -> BoundRe
     k = np.arange(m)
     # (radius / sample_radius)**k by exp, which is 3x faster than np.power here
     w = k * (np.exp(k * np.log(radius / sample_radius)) / m)
-    q, h1, reason = _circle_audit("h'", dft * w, dft * (k * w), radius, angles)
+    q, h1, reason = _circle_audit("h'", dft * w, dft * (k * w), radius, angles, m - 1)
     if np.any(np.abs(h1) < 1e-12 * slope):
         raise ValueError(f"h' vanishes at sample radius {radius}")
     z = _circle_grid(radius, angles)

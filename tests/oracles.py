@@ -5,8 +5,10 @@ closed form or by a faster path: Horner evaluation against the circle
 audits' ``verify._fold``, a fold by one slice-and-add per chunk against
 its row sum, truncated composition against ``generate_member``'s factor
 logs, the factor-log member against the rotated real exponential of
-zero-free members, the power-family member built at full order against
-``generate_member``'s k-th root transform, the map series against
+zero-free members, that exponential at the full length against
+``generate_member``'s proven Cauchy length, the power-family member
+built at full order against ``generate_member``'s k-th root transform,
+the full-mode fold against the membership audit's, the map series against
 circle sampling, and the integrated-map
 series against the pointwise integrated maps and, exponentiated,
 ``generate_member`` with omega(z) = z, and the closed-form
@@ -21,6 +23,11 @@ from stripcoef.logcoef import _log_p, _powers
 from stripcoef.maps import DorffParam, StripParams, a_dorff_coeff, b_strip_coeff
 from stripcoef.series import _NORMALIZED_TOL, TruncatedSeries, _fft_len, series_exp
 from stripcoef.verify import _circle_grid
+
+
+def shift(s: TruncatedSeries) -> TruncatedSeries:
+    """Multiply by z exactly; order grows by one."""
+    return TruncatedSeries(np.concatenate([[0.0], s.coeffs]))
 
 
 def identity(order: int) -> TruncatedSeries:
@@ -111,7 +118,22 @@ def power_member_full_order(target, spec, order: int) -> TruncatedSeries:
     kappa, lam1, lam2 = target.factors()
     logs = [log_one_minus_strided(lam, spec, order - 1) for lam in (lam1, lam2)]
     q_minus_1 = kappa * (logs[0] - logs[1])
-    return series_exp(TruncatedSeries(q_minus_1).integrate_over_t()).shift()
+    return shift(series_exp(TruncatedSeries(q_minus_1).integrate_over_t()))
+
+
+def zero_free_member_full_length(target, spec, order: int) -> TruncatedSeries:
+    """``generate_member`` for a zero-free omega = s z^k with every
+    E_j up to j = (order - 1) // k computed, not only those up to the
+    Cauchy length ``logcoef._cauchy_length``."""
+    scale, step, _ = spec._form()
+    m = (order - 1) // step
+    n, r = np.arange(1, m + 1), abs(scale)
+    tau, rho = target.hat_rotation(n)
+    a = np.concatenate([[0.0], rho * _powers(r, n).real / step])
+    coeffs = np.zeros(order + 1, dtype=complex)
+    coeffs[1::step] = series_exp(TruncatedSeries(a)).coeffs
+    coeffs[1 + step :: step] *= _powers(tau * scale / r if r else tau, n)
+    return TruncatedSeries(coeffs)
 
 
 def _series(c0: complex, coeffs: np.ndarray) -> TruncatedSeries:
@@ -149,6 +171,16 @@ def convexity_quantity(target, z, integrated: bool = False):
     if integrated:
         return np.real(z * m1 / np.log(d1 / d2))
     return np.real(1.0 + z * ((lam2 / d2) ** 2 - (lam1 / d1) ** 2) / m1)
+
+
+def membership_extremes(f: TruncatedSeries, radius: float, angles: int) -> tuple:
+    """(min, max) of Re(z f'/f) on the membership grid from every mode of
+    `f`, trailing zeros included, folded by :func:`fold_by_chunks`."""
+    k = np.arange(len(f.coeffs))
+    scale = radius**k
+    zf_prime = fold_by_chunks((k * f.coeffs) * scale, angles)
+    re = np.real(zf_prime / fold_by_chunks(f.coeffs * scale, angles))
+    return float(np.min(re)), float(np.max(re))
 
 
 def fold_by_chunks(modes: np.ndarray, angles: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 
 from stripcoef.logcoef import (
     SchwarzSpec,
+    _cauchy_length,
     _log_p,
     _powers,
     extremal_gammas,
@@ -27,6 +28,8 @@ from oracles import (
     p_strip_series,
     power_member_full_order,
     schwarz_series,
+    shift,
+    zero_free_member_full_length,
 )
 
 PI = np.pi
@@ -194,6 +197,11 @@ class TestKoebe:
         with pytest.raises(ValueError, match="complex number"):
             koebe_rotation("1", 8)
 
+    def test_rejects_a_bool(self):
+        # True was eps = 1, as the size rule refuses it as an order
+        with pytest.raises(ValueError, match="complex number"):
+            koebe_rotation(True, 8)
+
     # a NaN modulus once passed the |eps| = 1 test and gave NaN series
     @pytest.mark.parametrize("eps", [complex("nan"), complex(1.0, np.nan), np.inf], ids=repr)
     def test_rejects_non_finite(self, eps):
@@ -287,12 +295,15 @@ class TestSchwarzSpec:
             {"kind": "blaschke-factor", "a": "0.3"},
             {"kind": "blaschke-factor", "a": 0.3, "phi": "1.0"},
             {"kind": "blaschke-factor", "a": 0.3, "phi": 1.0 + 0.5j},
+            {"kind": "blaschke-factor", "a": 0.3, "phi": True},
+            {"kind": "scaled-rotation", "c": True},
         ],
-        ids=["c", "power-c", "a", "phi", "complex-phi"],
+        ids=["c", "power-c", "a", "phi", "complex-phi", "bool-phi", "bool-c"],
     )
     def test_rejects_non_numbers(self, fields):
         # a string raised TypeError from complex() or, for phi, was
-        # multiplied by 1j; a complex phi gave a non-unimodular rotation
+        # multiplied by 1j; a complex phi gave a non-unimodular rotation;
+        # a bool was stored as 1.0
         with pytest.raises(ValueError, match="Schwarz parameter"):
             SchwarzSpec(**fields)
 
@@ -394,13 +405,13 @@ class TestGenerateMember:
     # the extremal function z exp(integrated map), from the integrated-map
     # coefficients rather than the factor logs
     def test_identity_reproduces_extremal_strip(self):
-        f = series_exp(hat_series(HALF, 127)).shift()
+        f = shift(series_exp(hat_series(HALF, 127)))
         g = generate_member(HALF, ID, 128)
         assert np.max(np.abs(f.coeffs - g.coeffs)) < 1e-12
 
     def test_identity_reproduces_extremal_dorff(self):
         d = DorffParam(2.0)
-        f = series_exp(hat_series(d, 127)).shift()
+        f = shift(series_exp(hat_series(d, 127)))
         g = generate_member(d, ID, 128)
         assert np.max(np.abs(f.coeffs - g.coeffs)) < 1e-12
 
@@ -420,7 +431,7 @@ class TestGenerateMember:
             q_minus_1 = TruncatedSeries(
                 np.concatenate([[0.0], q.coeffs[1:]])
             ).integrate_over_t()
-            expected = series_exp(q_minus_1).shift().truncate(order)
+            expected = shift(series_exp(q_minus_1)).truncate(order)
             got = generate_member(p, spec, order)
             assert np.max(np.abs(got.coeffs - expected.coeffs[: order + 1])) < 1e-10
 
@@ -438,13 +449,16 @@ class TestGenerateMember:
                     assert np.max(np.abs(got - ref)) <= 1e-15 * scale, (target, c, order)
 
     def test_power_member_is_zero_off_the_stride(self):
-        # Newton at the full order left 1 291 coefficients up to 7.9e-19 here
-        spec = SchwarzSpec("power", c=0.6, k=3)
-        f = generate_member(StripParams(-0.7, 2.9), spec, 2000).coeffs
-        off = np.ones(2001, dtype=bool)
-        off[1::3] = False
-        assert np.all(f[off] == 0.0)
-        assert np.all(f[1::3] != 0.0)
+        # Newton at the full order left 1 291 coefficients up to 7.9e-19
+        # off the stride here; on it, E_j past the proven length is 0 too
+        target, spec = StripParams(-0.7, 2.9), SchwarzSpec("power", c=0.6, k=3)
+        f = generate_member(target, spec, 2000).coeffs
+        length = _cauchy_length(target, 0.6, 3, 666)
+        assert 0 < length < 666
+        kept = np.zeros(2001, dtype=bool)
+        kept[1 : 2 + 3 * length : 3] = True
+        assert np.all(f[~kept] == 0.0)
+        assert np.all(f[kept] != 0.0)
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_power_member_below_the_first_term_is_z(self, k):
@@ -598,6 +612,122 @@ class TestZeroFreeMembers:
                 generate_member(target, spec, 2000)
             with pytest.raises(AssertionError, match="np.roots"):
                 generate_member(target, SchwarzSpec("blaschke-factor", a=0.4), 64)
+
+
+# each target with the tolerance its zero-free members meet against the
+# full-length construction: on the strip (-1e3, 1e3), where |E_j| peaks
+# at 3.7e267 for |c| = 0.5, both constructions are Newton results up to
+# 1.6e-14 of the peak off 30-digit mpmath, and 4.5e-14 apart
+CAUCHY_TARGETS = [
+    (StripParams(-1.3, 3.7), 1e-15),
+    (StripParams(-1e3, 1e3), 1e-13),
+    (DorffParam(2.0), 1e-15),
+    (DorffParam(PI - 1e-3), 1e-15),
+]
+
+
+def _exact_exponential(c: complex, k: int, count: int, hats) -> np.ndarray:
+    """E_0..E_count of exp(p_hat(c u) / k) by the recurrence in 30-digit
+    mpmath, from the first `count` integrated-map coefficients `hats`."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        cc = mpmath.mpc(c.real, c.imag)
+        da = [0] + [j * hats[j - 1] * cc**j / k for j in range(1, count + 1)]
+        e = [mpmath.mpc(1)]
+        for j in range(1, count + 1):
+            e.append(mpmath.fdot(da[1 : j + 1], e[j - 1 :: -1]) / j)
+        return np.array([complex(v) for v in e])
+
+
+def _exact_hats(target, count: int) -> list:
+    """The first `count` integrated-map coefficients in 30-digit mpmath."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        if isinstance(target, StripParams):
+            alpha, beta = mpmath.mpf(target.alpha), mpmath.mpf(target.beta)
+            width, mu = beta - alpha, (1 - alpha) / (beta - alpha)
+            return [
+                width * 1j * (1 - mpmath.expjpi(2 * n * mu)) / (n * n * mpmath.pi)
+                for n in range(1, count + 1)
+            ]
+        eps = mpmath.pi - mpmath.mpf(target.delta)
+        return [mpmath.sin(n * eps) / (n * n * mpmath.sin(eps)) for n in range(1, count + 1)]
+
+
+class TestCauchyLength:
+    # zero-free members with |s| < 1 stop at the proven length L
+
+    @pytest.mark.parametrize("target, tol", CAUCHY_TARGETS, ids=lambda v: repr(v))
+    def test_matches_the_full_length_construction(self, target, tol):
+        pytest.importorskip("mpmath")
+        order = 14020
+        hats = _exact_hats(target, 199)
+        for k in range(1, 6):
+            kind = "scaled-rotation" if k == 1 else "power"
+            for q in (0.0, 0.05, 0.5, 0.9, 0.99):
+                c = q * np.exp(0.7j)
+                spec = SchwarzSpec(kind, c=c, k=k)
+                try:
+                    ref = zero_free_member_full_length(target, spec, order).coeffs
+                except ValueError:
+                    # E overflows a double ((-1e3, 1e3) at k = 1), at every length
+                    with pytest.raises(ValueError, match="overflow"):
+                        generate_member(target, spec, order)
+                    continue
+                got = generate_member(target, spec, order).coeffs
+                scale = max(1.0, np.max(np.abs(ref)))
+                assert np.max(np.abs(got - ref)) <= tol * scale, (k, q)
+                # n = 1 + jk <= 200 against the truth: as close as the full length
+                exact = _exact_exponential(c, k, 199 // k, hats)
+                near = slice(1, 201, k)
+                scale = max(1.0, np.max(np.abs(exact)))
+                err_got, err_ref = (np.max(np.abs(v[near] - exact)) for v in (got, ref))
+                assert err_got <= err_ref + tol * scale, (k, q)
+                if q == 0.0:
+                    continue
+                # Cauchy: |E_j| <= M q^j with log M = C pi^2 / (3k), wherever
+                # the full-length coefficient stands above roundoff
+                e = np.abs(ref[1::k])
+                j = np.flatnonzero(e > np.finfo(float).eps * np.max(e))
+                log_bound = target.tail_constant * PI**2 / (3 * k) + j * np.log(q)
+                assert np.all(np.log(e[j]) <= log_bound + 1e-12 * np.abs(log_bound)), (k, q)
+
+    @pytest.mark.parametrize("target, tol", CAUCHY_TARGETS, ids=lambda v: repr(v))
+    def test_unit_scale_is_bitwise_the_full_length(self, target, tol):
+        # |s| = 1 gives L = m: the parent's computation, bit for bit
+        for k in range(1, 6):
+            spec = SchwarzSpec("scaled-rotation" if k == 1 else "power", c=np.exp(0.7j), k=k)
+            try:
+                ref = zero_free_member_full_length(target, spec, 14020).coeffs
+            except ValueError:
+                continue
+            assert np.array_equal(generate_member(target, spec, 14020).coeffs, ref), k
+
+    def test_length_is_the_least_with_a_small_tail(self):
+        # the tail bound at L is at most 2^-60 and at L - 1 above it
+        for target, _ in CAUCHY_TARGETS:
+            for q in (0.05, 0.5, 0.9):
+                for k in (1, 3):
+                    m = 14019 // k
+                    length = _cauchy_length(target, q, k, m)
+                    j = np.arange(m + 2)
+                    log_terms = (
+                        target.tail_constant * PI**2 / (3 * k)
+                        + np.log1p(j * k) + j * np.log(q)
+                    )
+                    tail = [np.logaddexp.reduce(log_terms[i + 1 :]) for i in (length - 1, length)]
+                    if length < m:
+                        assert tail[1] <= -60 * np.log(2) < tail[0], (target, q, k)
+                    else:
+                        assert tail[0] > -60 * np.log(2), (target, q, k)
+
+    def test_edges(self):
+        p = StripParams(-1.3, 3.7)
+        assert _cauchy_length(p, 0.0, 2, 7009) == 0
+        assert _cauchy_length(p, 1.0, 2, 7009) == 7009
+        assert _cauchy_length(p, 0.9, 1, 10) == 10
 
 
 class TestRandomDraws:

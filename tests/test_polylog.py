@@ -105,6 +105,12 @@ class TestPolylogSeries:
         with pytest.raises(ValueError, match="complex number"):
             polylog(2, "0.5")
 
+    @pytest.mark.parametrize("z", [True, False])
+    def test_rejects_a_bool(self, z):
+        # True returned Li_2(1); the weight and array rules refuse a bool too
+        with pytest.raises(ValueError, match="complex number"):
+            polylog(2, z)
+
     def test_rejects_small_weight(self):
         with pytest.raises(ValueError):
             polylog(1, 0.5)
@@ -187,6 +193,10 @@ class TestQuadrature:
     def test_rejects_a_numeric_string(self):
         with pytest.raises(ValueError, match="complex number"):
             li4_quadrature("0.5")
+
+    def test_rejects_a_bool(self):
+        with pytest.raises(ValueError, match="complex number"):
+            li4_quadrature(False)
 
     def test_matches_series_at_minus_one(self):
         assert abs(li4_quadrature(-1.0) - polylog(4, -1.0).value) < 1e-8

@@ -21,7 +21,8 @@ from stripcoef.maps import (
     p_strip_eval,
 )
 from stripcoef.polylog import li4_symmetric_circle
-from stripcoef.series import TruncatedSeries
+from stripcoef.series import TruncatedSeries, _fft_len
+from stripcoef import verify
 from stripcoef.verify import (
     _report,
     EQUALITY,
@@ -40,7 +41,7 @@ from stripcoef.verify import (
     sum_tail,
 )
 
-from oracles import convexity_quantity, identity
+from oracles import convexity_quantity, identity, membership_extremes
 
 PI = np.pi
 HALF = StripParams(0.5, 1.5)
@@ -278,6 +279,16 @@ class TestRogosinski:
         with pytest.raises(ValueError):
             rogosinski_check([1.0], [1.0, 2.0], 2)
 
+    @pytest.mark.parametrize(
+        "sub, dom",
+        [(0.1, [0.2]), ([0.1], 0.2), (np.float64(0.1), np.float64(0.2)), ([[0.1]], [0.2])],
+        ids=["scalar-sub", "scalar-dom", "numpy-scalars", "2-d-sub"],
+    )
+    def test_rejects_a_non_sequence(self, sub, dom):
+        # slicing a scalar raised IndexError
+        with pytest.raises(ValueError, match="both sequences"):
+            rogosinski_check(sub, dom, 1)
+
     @pytest.mark.parametrize("k_max", [0, -1])
     def test_rejects_empty_window(self, k_max):
         with pytest.raises(ValueError, match="k_max"):
@@ -388,6 +399,41 @@ class TestMembership:
     def test_rejects_angles_below_one(self, angles):
         with pytest.raises(ValueError, match="angles must be an integer >= 1"):
             membership_check(identity(2048), HALF, 0.99, angles)
+
+    @pytest.mark.parametrize(
+        "target, spec, radius, angles",
+        [
+            (StripParams(-1.3, 3.7), SchwarzSpec("scaled-rotation", c=0.5j), 0.999, 1024),
+            (DorffParam(2.5), SchwarzSpec("power", c=0.9 * np.exp(2.0j), k=3), 0.999, 1024),
+            (StripParams(-1.3, 3.7), SchwarzSpec("power", c=1.0, k=2), 0.999, 1024),
+            (HALF, SchwarzSpec("blaschke-factor", a=0.6 + 0.3j, phi=1.0), 0.999, 1024),
+            (DorffParam(2.5), SchwarzSpec("scaled-rotation", c=0.5), 0.99, 4),
+        ],
+        ids=["truncated", "truncated-power", "power-ends-in-0", "blaschke", "fallback"],
+    )
+    def test_fold_to_the_last_nonzero_is_the_full_fold(
+        self, monkeypatch, target, spec, radius, angles
+    ):
+        # the audit folds up to the last nonzero coefficient; every mode,
+        # trailing zeros included, gives the same bytes, and the fallback
+        # grid keeps its size from the order
+        f = generate_member(target, spec, 14020)
+        if spec.kind != "blaschke-factor":
+            assert np.flatnonzero(f.coeffs)[-1] < f.order
+        folds = []
+
+        def spy(modes, count):
+            folds.append(count)
+            return fold(modes, count)
+
+        fold = verify._fold
+        monkeypatch.setattr(verify, "_fold", spy)
+        report = membership_check(f, target, radius, angles)
+        got = (report.context["re_min"], report.context["re_max"])
+        assert [v.hex() for v in got] == [v.hex() for v in membership_extremes(f, radius, angles)]
+        assert report.verdict == HOLDS
+        # fewer than 5 angles always count as undersampled
+        assert folds == ([angles, _fft_len(f.order), angles] if angles < 5 else [angles, angles])
 
 
 class TestConvexityProbe:
