@@ -134,30 +134,20 @@ def koebe_rotation(eps: complex, order: int) -> tuple[TruncatedSeries, np.ndarra
     return TruncatedSeries(coeffs), gammas
 
 
-def _log_p(lam: complex, s: complex, zeros: tuple, order: int) -> np.ndarray:
-    """Coefficients of log P(u) in u up to `order`, exactly, where
-    1 - lam s u B(u) = P(u) / prod_j (1 + conj(a_j) u) for B the Blaschke
-    product with `zeros` (:class:`SchwarzSpec`) and P(0) = 1, for
-    Blaschke members only (:func:`generate_member`).
+def _roots(ls: complex, zeros: tuple) -> np.ndarray:
+    """The inverse roots r_i of P(u) = prod_i (1 - r_i u), where
+    1 - ls u B(u) = P(u) / prod_j (1 + conj(a_j) u) for B the Blaschke
+    product with `zeros` (:class:`SchwarzSpec`), for Blaschke members
+    only (:func:`generate_member`).
 
-    P(u) = prod_i (1 - r_i u), so coefficient n is -sum_i r_i^n / n.  The
-    r_i are the roots of u prod_j (u + conj(a_j)) - lam s prod_j (a_j u + 1).
-    All have modulus <= 1 (omega maps the disc into itself and |lam| = 1),
-    so the power sums stay bounded.
-    The denominator does not depend on lam, so the difference of two
-    factor logs log(1 - lam s u B(u)) is the difference of their log P.
+    They are the roots of u prod_j (u + conj(a_j)) - ls prod_j (a_j u + 1).
+    With |ls| = 1 all lie on the unit circle (u B(u) has modulus below 1
+    inside it and above 1 outside), so their powers stay bounded.
     """
-    ls = lam * s
-    # lam s multiplies each coefficient as a scalar: numpy's vectorised
+    # ls multiplies each coefficient as a scalar: numpy's vectorised
     # complex product rounds differently, and np.roots can then swap roots
     tops, bottoms = _symmetric_sums([np.conj(a) for a in zeros]), _symmetric_sums(zeros)
-    poly = [1.0, *(t - ls * b for t, b in zip(tops, reversed(bottoms))), -ls]
-    n = np.arange(1, order + 1)
-    out = np.zeros(order + 1, dtype=complex)
-    for r in np.roots(poly):
-        out[1:] -= _powers(r, n)
-    out[1:] /= n
-    return out
+    return np.roots([1.0, *(t - ls * b for t, b in zip(tops, reversed(bottoms))), -ls])
 
 
 def _symmetric_sums(xs) -> list:
@@ -206,8 +196,11 @@ def generate_member(target, w: SchwarzSpec, order: int) -> TruncatedSeries:
     k-th root transform of the member E for omega_0(u) = s u B(u), built
     in u at order (order - 1) // k; E_j goes to coefficient 1 + jk and
     every other coefficient is an exact 0.  With zeros, q - 1 =
-    kappa [log P_lam1 - log P_lam2] from the factor logs (:func:`_log_p`);
-    without, the exponent is (rho_j / k) (tau s)^j (``target.hat_rotation``),
+    kappa [log P_lam1 - log P_lam2], where coefficient n of log P_lam is
+    -sum_i r_i^n / n over its inverse roots r_i (:func:`_roots`), and
+    the exponent's coefficient n is that of q - 1 over nk, all in one
+    pass.  Without zeros, the exponent is (rho_j / k) (tau s)^j
+    (``target.hat_rotation``),
     so E_j = X_j (tau s / |s|)^j with X the exponential of the real series
     rho_j |s|^j / k, which keeps |s| so as to grow no faster than E.
     For |s| < 1, E(u) = exp(p_hat(s u) / k) is analytic past the unit
@@ -221,10 +214,10 @@ def generate_member(target, w: SchwarzSpec, order: int) -> TruncatedSeries:
     m = (order - 1) // step
     coeffs = np.zeros(order + 1, dtype=complex)
     if zeros:
-        kappa, lam1, lam2 = target.factors()
-        logs = [_log_p(lam, scale, zeros, m) for lam in (lam1, lam2)]
-        q_minus_1 = kappa * (logs[0] - logs[1])
-        a = TruncatedSeries(q_minus_1).integrate_over_t().coeffs / step
+        n = np.arange(1, m + 1)
+        kappa, *lams = target.factors()
+        logs = [sum(-_powers(r, n) for r in _roots(lam * scale, zeros)) / n for lam in lams]
+        a = np.concatenate([[0.0], kappa * (logs[0] - logs[1]) / n]) / step
         coeffs[1::step] = series_exp(TruncatedSeries(a)).coeffs
     else:
         r = abs(scale)
@@ -241,8 +234,11 @@ def _cauchy_length(target, q: float, k: int, m: int) -> int:
     """The least L < m with sum_{j > L} (1 + jk) M q^j <= 2^-60, else m,
     for E(u) = exp(p_hat(s u) / k) with |s| = q (:func:`generate_member`).
 
-    |hat_n| <= 2C/n^2 (C = ``target.tail_constant``) bounds |p_hat| by
-    C pi^2/3 on the closed disc, so |E| <= M = exp(C pi^2/(3k)) on
+    |hat_n| <= min(2B/n, 2C/n^2) with B = ``target.per_n_bound(1)`` and
+    C = ``target.tail_constant``, the envelope of ``verify.sum_tail``.
+    2B/n is the smaller up to K = floor(C/B), so |p_hat| <= 2B(1 + ln K)
+    + 2C/K on the closed disc, or C pi^2/3 from 2C/n^2 alone where that
+    is smaller or K = 0; log M is that bound over k, |E| <= M on
     |u| = 1/q, and Cauchy's estimate gives |E_j| <= M q^j.  The sum bounds
     |f - f_L| and |f' - f_L'| on the closed unit disc for f_L = z E_L(z^k);
     its closed form M q^x [(1 + kx)(1 - q) + kq] / (1 - q)^2 at x = L + 1
@@ -252,7 +248,12 @@ def _cauchy_length(target, q: float, k: int, m: int) -> int:
         return m
     if q == 0.0:
         return 0
-    log_q, log_m = math.log(q), target.tail_constant * math.pi**2 / (3 * k)
+    # Python floats, whose sums and products overflow to inf, not raise
+    b, c = float(target.per_n_bound(1)), float(target.tail_constant)
+    big, log_m = math.floor(c / b), c * math.pi**2 / (3 * k)
+    if big:
+        log_m = min(log_m, (2.0 * b * (1.0 + math.log(big)) + 2.0 * c / big) / k)
+    log_q = math.log(q)
     limit = math.log(_CAUCHY_TAIL) - log_m + 2.0 * math.log1p(-q)
 
     def below(j: int) -> bool:

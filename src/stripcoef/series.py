@@ -72,21 +72,6 @@ class TruncatedSeries:
     def __repr__(self) -> str:
         return f"TruncatedSeries(order={self.order}, coeffs={self.coeffs!r})"
 
-    # -- calculus ----------------------------------------------------------
-
-    def integrate_over_t(self) -> TruncatedSeries:
-        """Primitive of g(t)/t from 0: coefficient k becomes g_k / k.
-
-        Requires g_0 = 0 so the integrand is analytic at the origin.
-        Result order equals the input order.
-        """
-        if abs(self.coeffs[0]) > _NORMALIZED_TOL:
-            raise ValueError("integrand g(t)/t needs g(0) = 0")
-        out = np.zeros(self.order + 1, dtype=complex)
-        k = np.arange(1, self.order + 1)
-        out[1:] = self.coeffs[1:] / k
-        return TruncatedSeries(out)
-
     def truncate(self, order: int) -> TruncatedSeries:
         """Drop coefficients above `order` (an integer from 0 to self.order)."""
         order = _require_order(order, 0)

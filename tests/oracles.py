@@ -3,13 +3,15 @@
 Each gives an independent route to a quantity the package computes in
 closed form or by a faster path: Horner evaluation against the circle
 audits' ``verify._fold``, a fold by one slice-and-add per chunk against
-its row sum, truncated composition against ``generate_member``'s factor
-logs, the factor-log member against the rotated real exponential of
-zero-free members, that exponential at the full length against
-``generate_member``'s proven Cauchy length, the power-family member
-built at full order against ``generate_member``'s k-th root transform,
-the full-mode fold against the membership audit's, the map series against
-circle sampling, and the integrated-map
+its row sum, truncated composition against ``generate_member``'s
+exponents, the factor logs and the primitive of g(t)/t against the
+one-pass Blaschke exponent, the factor-log member against
+``generate_member`` (bit for bit on Blaschke members, against the
+rotated real exponential of zero-free members), that exponential at the
+full length against ``generate_member``'s proven Cauchy length, the
+power-family member built at full order against ``generate_member``'s
+k-th root transform, the full-mode fold against the membership audit's,
+the map series against circle sampling, and the integrated-map
 series against the pointwise integrated maps and, exponentiated,
 ``generate_member`` with omega(z) = z, and the closed-form
 Re(1 + z h''/h') against ``convexity_probe``.
@@ -19,7 +21,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from stripcoef.logcoef import _log_p, _powers
+from stripcoef.logcoef import _powers, _roots
 from stripcoef.maps import DorffParam, StripParams, a_dorff_coeff, b_strip_coeff
 from stripcoef.series import _NORMALIZED_TOL, TruncatedSeries, _fft_len, series_exp
 from stripcoef.verify import _circle_grid
@@ -89,15 +91,44 @@ def schwarz_series(spec, order: int) -> TruncatedSeries:
     return TruncatedSeries(w)
 
 
+def integrate_over_t(s: TruncatedSeries) -> TruncatedSeries:
+    """Primitive of g(t)/t from 0: coefficient k becomes g_k / k.
+
+    Requires g_0 = 0 so the integrand is analytic at the origin.
+    Result order equals the input order.
+    """
+    if abs(s.coeffs[0]) > _NORMALIZED_TOL:
+        raise ValueError("integrand g(t)/t needs g(0) = 0")
+    out = np.zeros(s.order + 1, dtype=complex)
+    k = np.arange(1, s.order + 1)
+    out[1:] = s.coeffs[1:] / k
+    return TruncatedSeries(out)
+
+
+def log_p(lam: complex, s: complex, zeros: tuple, order: int) -> np.ndarray:
+    """Coefficients of the factor log, log P(u), up to `order`, where
+    1 - lam s u B(u) = P(u) / prod_j (1 + conj(a_j) u) with P(0) = 1:
+    coefficient n is -sum_i r_i^n / n over the inverse roots
+    ``logcoef._roots`` of P."""
+    n = np.arange(1, order + 1)
+    out = np.zeros(order + 1, dtype=complex)
+    for r in _roots(lam * s, zeros):
+        out[1:] -= _powers(r, n)
+    out[1:] /= n
+    return out
+
+
 def factor_log_member(target, spec, order: int) -> TruncatedSeries:
-    """``generate_member`` as it was for every kind: q - 1 from the two
-    factor logs ``_log_p`` in u = z^k, exponentiated once.  Zero-free
-    members are now built as a rotated real exponential instead."""
+    """``generate_member`` from q - 1 = kappa [log P_lam1 - log P_lam2]
+    in u = z^k (:func:`log_p`), integrated (:func:`integrate_over_t`) and
+    exponentiated once, for every kind.  Blaschke members are these
+    float operations in one pass; zero-free members are built as a
+    rotated real exponential instead."""
     scale, step, zeros = spec._form()
     kappa, lam1, lam2 = target.factors()
     m = (order - 1) // step
-    logs = [_log_p(lam, scale, zeros, m) for lam in (lam1, lam2)]
-    a = TruncatedSeries(kappa * (logs[0] - logs[1])).integrate_over_t().coeffs / step
+    logs = [log_p(lam, scale, zeros, m) for lam in (lam1, lam2)]
+    a = integrate_over_t(TruncatedSeries(kappa * (logs[0] - logs[1]))).coeffs / step
     coeffs = np.zeros(order + 1, dtype=complex)
     coeffs[1::step] = series_exp(TruncatedSeries(a)).coeffs
     return TruncatedSeries(coeffs)
@@ -105,7 +136,7 @@ def factor_log_member(target, spec, order: int) -> TruncatedSeries:
 
 def log_one_minus_strided(lam: complex, spec, order: int) -> np.ndarray:
     """log(1 - lam c z^k) up to `order` in z: -(lam c)^m / m at every
-    k-th coefficient, as ``logcoef._log_p`` formed it for the
+    k-th coefficient, as :func:`log_p` formed it for the
     power family before ``generate_member`` took the k-th root transform."""
     out = np.zeros(order + 1, dtype=complex)
     m = np.arange(1, order // spec.k + 1)
@@ -118,7 +149,7 @@ def power_member_full_order(target, spec, order: int) -> TruncatedSeries:
     kappa, lam1, lam2 = target.factors()
     logs = [log_one_minus_strided(lam, spec, order - 1) for lam in (lam1, lam2)]
     q_minus_1 = kappa * (logs[0] - logs[1])
-    return shift(series_exp(TruncatedSeries(q_minus_1).integrate_over_t()))
+    return shift(series_exp(integrate_over_t(TruncatedSeries(q_minus_1))))
 
 
 def zero_free_member_full_length(target, spec, order: int) -> TruncatedSeries:

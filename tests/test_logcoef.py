@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from stripcoef.logcoef import (
     SchwarzSpec,
     _cauchy_length,
-    _log_p,
     _powers,
     extremal_gammas,
     generate_member,
@@ -25,6 +25,8 @@ from oracles import (
     factor_log_member,
     hat_series,
     identity,
+    integrate_over_t,
+    log_p,
     p_strip_series,
     power_member_full_order,
     schwarz_series,
@@ -364,7 +366,7 @@ class TestLogOneMinus:
         for target in (StripParams(-1.9, 3.8), DorffParam(3.0)):
             _, lam1, lam2 = target.factors()
             for lam in (lam1, lam2):
-                got = _log_p(lam, s, zeros, 14000)
+                got = log_p(lam, s, zeros, 14000)
                 ref = _log_p_by_power(lam, spec, 14000)
                 assert np.all(np.isfinite(got))
                 assert np.max(np.abs(got - ref)) <= 1e-14
@@ -428,9 +430,7 @@ class TestGenerateMember:
             p = random_strip_params(rng)
             spec = random_schwarz_spec(rng)
             q = compose_schwarz(p_strip_series(p, order), schwarz_series(spec, order))
-            q_minus_1 = TruncatedSeries(
-                np.concatenate([[0.0], q.coeffs[1:]])
-            ).integrate_over_t()
+            q_minus_1 = integrate_over_t(TruncatedSeries(np.concatenate([[0.0], q.coeffs[1:]])))
             expected = shift(series_exp(q_minus_1)).truncate(order)
             got = generate_member(p, spec, order)
             assert np.max(np.abs(got.coeffs - expected.coeffs[: order + 1])) < 1e-10
@@ -519,6 +519,42 @@ class TestGenerateMember:
         sub = np.cumsum(np.abs(2.0 * gam[:64]) ** 2)
         dom = np.cumsum(np.abs(d.hat_coeff(n)) ** 2)
         assert np.all(sub <= dom + 1e-12)
+
+
+# Blaschke-factor draws of acceptance criterion 6 and edge targets where
+# kappa is large or mu lies near 0
+BLASCHKE_SEED = 21057
+BLASCHKE_EDGES = (
+    StripParams(-10.0, 10.0),
+    StripParams(-1e6, 1.000001),
+    StripParams(-1.3, 3.7),
+    DorffParam(PI - 1e-6),
+    DorffParam(PI - 1e-3),
+    DorffParam(PI - 0.05),
+)
+
+
+class TestBlaschkeMembers:
+    @pytest.mark.parametrize("order", [256, 1500, 14020])
+    def test_bitwise_the_factor_log_member(self, order):
+        # the one-pass exponent runs the float operations of the factor
+        # logs, their difference and the primitive of g(t)/t, in order
+        cases = [
+            (target, SchwarzSpec("blaschke-factor", a=a, phi=1.0))
+            for target in BLASCHKE_EDGES
+            for a in (0.99, -0.999j)
+        ]
+        rng = np.random.default_rng(BLASCHKE_SEED)
+        for draw in (random_strip_params, random_dorff_param):
+            for _ in range(100):
+                target, spec = draw(rng), random_schwarz_spec(rng)
+                if spec.kind == "blaschke-factor":
+                    cases.append((target, spec))
+        assert len(cases) > 60
+        for target, spec in cases:
+            got = generate_member(target, spec, order).coeffs
+            ref = factor_log_member(target, spec, order).coeffs
+            assert np.array_equal(got, ref), (target, spec)
 
 
 class TestZeroFreeMembers:
@@ -617,13 +653,35 @@ class TestZeroFreeMembers:
 # each target with the tolerance its zero-free members meet against the
 # full-length construction: on the strip (-1e3, 1e3), where |E_j| peaks
 # at 3.7e267 for |c| = 0.5, both constructions are Newton results up to
-# 1.6e-14 of the peak off 30-digit mpmath, and 4.5e-14 apart
+# 1.6e-14 of the peak off 30-digit mpmath, and 4.5e-14 apart; at
+# delta = pi - 1e-3 with |c| = 0.99 (L = 6 355 of 14 019) they are
+# 2.6e-15 and 3.3e-15 off it, and 2.8e-15 apart
 CAUCHY_TARGETS = [
     (StripParams(-1.3, 3.7), 1e-15),
     (StripParams(-1e3, 1e3), 1e-13),
     (DorffParam(2.0), 1e-15),
-    (DorffParam(PI - 1e-3), 1e-15),
+    (DorffParam(PI - 1e-3), 5e-15),
+    (DorffParam(PI - 0.05), 1e-15),
 ]
+
+
+def _log_m(target, k: int) -> float:
+    """log M for E = exp(p_hat(s u) / k): sup |p_hat| on the closed disc
+    from |hat_n| <= min(2B/n, 2C/n^2), summed as 2B(1 + ln K) + 2C/K with
+    K = floor(C/B), or C pi^2/3 where that is smaller or K = 0, over k."""
+    b, c = target.per_n_bound(1), target.tail_constant
+    big = math.floor(c / b)
+    bound = c * PI**2 / 3
+    if big:
+        bound = min(bound, 2 * b * (1 + math.log(big)) + 2 * c / big)
+    return bound / k
+
+
+def _log_terms(target, q: float, k: int, count: int) -> np.ndarray:
+    """log[(1 + jk) M q^j] for j = 0..count - 1: what dropping E_j can move
+    f and f' by on the closed unit disc, by Cauchy's estimate."""
+    j = np.arange(count)
+    return _log_m(target, k) + np.log1p(j * k) + j * np.log(q)
 
 
 def _exact_exponential(c: complex, k: int, count: int, hats) -> np.ndarray:
@@ -687,11 +745,17 @@ class TestCauchyLength:
                 assert err_got <= err_ref + tol * scale, (k, q)
                 if q == 0.0:
                     continue
-                # Cauchy: |E_j| <= M q^j with log M = C pi^2 / (3k), wherever
+                # got stops at E_L, and what it drops is below 2^-60 by the envelope
+                length = _cauchy_length(target, q, k, (order - 1) // k)
+                assert not got[2 + length * k :].any(), (k, q)
+                dropped = _log_terms(target, q, k, (order - 1) // k + 1)[length + 1 :]
+                if len(dropped):
+                    assert np.logaddexp.reduce(dropped) <= -60 * np.log(2), (k, q)
+                # Cauchy: |E_j| <= M q^j with log M from the envelope, wherever
                 # the full-length coefficient stands above roundoff
                 e = np.abs(ref[1::k])
                 j = np.flatnonzero(e > np.finfo(float).eps * np.max(e))
-                log_bound = target.tail_constant * PI**2 / (3 * k) + j * np.log(q)
+                log_bound = _log_m(target, k) + j * np.log(q)
                 assert np.all(np.log(e[j]) <= log_bound + 1e-12 * np.abs(log_bound)), (k, q)
 
     @pytest.mark.parametrize("target, tol", CAUCHY_TARGETS, ids=lambda v: repr(v))
@@ -708,20 +772,43 @@ class TestCauchyLength:
     def test_length_is_the_least_with_a_small_tail(self):
         # the tail bound at L is at most 2^-60 and at L - 1 above it
         for target, _ in CAUCHY_TARGETS:
-            for q in (0.05, 0.5, 0.9):
+            for q in (0.05, 0.5, 0.9, 0.99):
                 for k in (1, 3):
                     m = 14019 // k
                     length = _cauchy_length(target, q, k, m)
-                    j = np.arange(m + 2)
-                    log_terms = (
-                        target.tail_constant * PI**2 / (3 * k)
-                        + np.log1p(j * k) + j * np.log(q)
-                    )
+                    log_terms = _log_terms(target, q, k, m + 2)
                     tail = [np.logaddexp.reduce(log_terms[i + 1 :]) for i in (length - 1, length)]
                     if length < m:
                         assert tail[1] <= -60 * np.log(2) < tail[0], (target, q, k)
                     else:
                         assert tail[0] > -60 * np.log(2), (target, q, k)
+
+    @pytest.mark.parametrize("target", [t for t, _ in CAUCHY_TARGETS], ids=repr)
+    def test_envelope_bounds_p_hat_on_the_circle(self, target):
+        # k log M bounds |p_hat| sampled on |u| = 1 from 2^16 coefficients
+        # plus the 2C/n^2 bound on the rest, and the envelope summed term
+        # by term; near delta = pi, p_hat is near -log(1 - u) up to n = C/B
+        count = 2**16
+        n = np.arange(1, count)
+        b, c = target.per_n_bound(1), target.tail_constant
+        values = np.fft.ifft(np.concatenate([[0.0], target.hat_coeff(n)])) * count
+        envelope = np.sum(np.minimum(2 * b / n, 2 * c / n**2))
+        assert np.max(np.abs(values)) <= envelope
+        assert envelope + 2 * c / (count - 1) <= _log_m(target, 1)
+
+    def test_envelope_lengths(self):
+        # at delta = pi - 1e-3 (C = 500, B = 1/2) C pi^2/3 = 1 645 alone
+        # would keep L = m for |s| = 0.9; the envelope gives 8.9, and L
+        # stays above j = 420 (k = 1) and 349 (k = 3), where the
+        # full-length |E_j| fall below 2^-60.  On the strips K = 1, and
+        # C pi^2/3 is the smaller bound
+        near_pi = DorffParam(PI - 1e-3)
+        for q, k, length in ((0.9, 1, 561), (0.5, 1, 80), (0.9, 3, 514), (0.99, 1, 6355)):
+            assert _cauchy_length(near_pi, q, k, 14019 // k) == length, (q, k)
+        assert _cauchy_length(DorffParam(PI - 0.05), 0.9, 1, 14019) == 523
+        for q, length in ((0.05, 16), (0.5, 74), (0.9, 525)):
+            assert _cauchy_length(StripParams(-1.3, 3.7), q, 1, 14019) == length
+        assert _cauchy_length(StripParams(-1e3, 1e3), 0.5, 1, 14019) == 3094
 
     def test_edges(self):
         p = StripParams(-1.3, 3.7)
