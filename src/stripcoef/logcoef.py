@@ -236,9 +236,9 @@ def _cauchy_length(target, q: float, k: int, m: int) -> int:
 
     |hat_n| <= min(2B/n, 2C/n^2) with B = ``target.per_n_bound(1)`` and
     C = ``target.tail_constant``, the envelope of ``verify.sum_tail``.
-    2B/n is the smaller up to K = floor(C/B), so |p_hat| <= 2B(1 + ln K)
-    + 2C/K on the closed disc, or C pi^2/3 from 2C/n^2 alone where that
-    is smaller or K = 0; log M is that bound over k, |E| <= M on
+    2B/n is the smaller up to K = floor(C/B) >= 1 (B <= C), so |p_hat| <=
+    2B(1 + ln K) + 2C/K on the closed disc, or C pi^2/3 from 2C/n^2 alone
+    where that is smaller; log M is that bound over k, |E| <= M on
     |u| = 1/q, and Cauchy's estimate gives |E_j| <= M q^j.  The sum bounds
     |f - f_L| and |f' - f_L'| on the closed unit disc for f_L = z E_L(z^k);
     its closed form M q^x [(1 + kx)(1 - q) + kq] / (1 - q)^2 at x = L + 1
@@ -250,9 +250,8 @@ def _cauchy_length(target, q: float, k: int, m: int) -> int:
         return 0
     # Python floats, whose sums and products overflow to inf, not raise
     b, c = float(target.per_n_bound(1)), float(target.tail_constant)
-    big, log_m = math.floor(c / b), c * math.pi**2 / (3 * k)
-    if big:
-        log_m = min(log_m, (2.0 * b * (1.0 + math.log(big)) + 2.0 * c / big) / k)
+    big = math.floor(c / b)
+    log_m = min(c * math.pi**2 / 3.0, 2.0 * b * (1.0 + math.log(big)) + 2.0 * c / big) / k
     log_q = math.log(q)
     limit = math.log(_CAUCHY_TAIL) - log_m + 2.0 * math.log1p(-q)
 

@@ -653,28 +653,29 @@ class TestZeroFreeMembers:
 # each target with the tolerance its zero-free members meet against the
 # full-length construction: on the strip (-1e3, 1e3), where |E_j| peaks
 # at 3.7e267 for |c| = 0.5, both constructions are Newton results up to
-# 1.6e-14 of the peak off 30-digit mpmath, and 4.5e-14 apart; at
-# delta = pi - 1e-3 with |c| = 0.99 (L = 6 355 of 14 019) they are
-# 2.6e-15 and 3.3e-15 off it, and 2.8e-15 apart
+# 1.6e-14 of the peak off 30-digit mpmath, and 4.5e-14 apart
 CAUCHY_TARGETS = [
     (StripParams(-1.3, 3.7), 1e-15),
     (StripParams(-1e3, 1e3), 1e-13),
     (DorffParam(2.0), 1e-15),
-    (DorffParam(PI - 1e-3), 5e-15),
+    (DorffParam(PI - 1e-3), 1e-15),
     (DorffParam(PI - 0.05), 1e-15),
 ]
+
+# (target, k, |c|) whose two constructions stand further apart than the
+# target's tolerance, with the bound they meet: at delta = pi - 1e-3 with
+# |c| = 0.99 (L = 6 355 of 14 019) they are 2.8e-15 apart, and 2.6e-15
+# (stopped at L) and 3.3e-15 (full length) off 30-digit mpmath
+WIDER_MATCHES = {(DorffParam(PI - 1e-3), 1, 0.99): 5e-15}
 
 
 def _log_m(target, k: int) -> float:
     """log M for E = exp(p_hat(s u) / k): sup |p_hat| on the closed disc
     from |hat_n| <= min(2B/n, 2C/n^2), summed as 2B(1 + ln K) + 2C/K with
-    K = floor(C/B), or C pi^2/3 where that is smaller or K = 0, over k."""
+    K = floor(C/B) >= 1, or C pi^2/3 where that is smaller, over k."""
     b, c = target.per_n_bound(1), target.tail_constant
     big = math.floor(c / b)
-    bound = c * PI**2 / 3
-    if big:
-        bound = min(bound, 2 * b * (1 + math.log(big)) + 2 * c / big)
-    return bound / k
+    return min(c * PI**2 / 3, 2 * b * (1 + math.log(big)) + 2 * c / big) / k
 
 
 def _log_terms(target, q: float, k: int, count: int) -> np.ndarray:
@@ -736,7 +737,8 @@ class TestCauchyLength:
                     continue
                 got = generate_member(target, spec, order).coeffs
                 scale = max(1.0, np.max(np.abs(ref)))
-                assert np.max(np.abs(got - ref)) <= tol * scale, (k, q)
+                match = WIDER_MATCHES.get((target, k, q), tol)
+                assert np.max(np.abs(got - ref)) <= match * scale, (k, q)
                 # n = 1 + jk <= 200 against the truth: as close as the full length
                 exact = _exact_exponential(c, k, 199 // k, hats)
                 near = slice(1, 201, k)
