@@ -171,11 +171,14 @@ def _powers(r: complex, n: np.ndarray) -> np.ndarray:
     below n eps max(1, |log r|) wherever r^n is a normal double, as does
     that of np.power, which computes exp(n log r) one element at a time
     there.  Below 100 the values are np.power's, which squares
-    repeatedly and whose error does not grow with n.
+    repeatedly and whose error does not grow with n; fewer than 100
+    powers build no table.
     """
     count = len(n)
     if r == 0:
         return np.zeros(count, dtype=complex)
+    if count < 100:
+        return np.power(r, n).astype(complex)
     b = max(1, math.isqrt(count))
     log_r = np.log(complex(r))
     low = np.exp(np.arange(b) * log_r)
@@ -227,7 +230,7 @@ def generate_member(target, w: SchwarzSpec, order: int) -> TruncatedSeries:
         stop = 2 + step * len(n)  # past coefficient 1 + Lk, the last E_j kept
         coeffs[1:stop:step] = series_exp(TruncatedSeries(a)).coeffs
         coeffs[1 + step : stop : step] *= _powers(tau * scale / r if r else tau, n)
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries._take(coeffs)
 
 
 def _cauchy_length(target, q: float, k: int, m: int) -> int:

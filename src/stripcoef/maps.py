@@ -219,7 +219,7 @@ def _check_index(n) -> np.ndarray:
     >= 1.  The index twin of ``series._require_order``: a bool, a float
     (NaN and infinity too) or anything else is refused rather than rounded."""
     n = np.asarray(n)
-    if n.dtype.kind not in "iu" or np.any(n < 1):
+    if n.dtype.kind not in "iu" or (n < 1).any():
         raise ValueError("coefficient index must be an integer >= 1")
     return n
 

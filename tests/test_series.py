@@ -12,6 +12,8 @@ from stripcoef.series import (
     _exp_newton,
     _exp_recurrence,
     _exp_residual,
+    _log_newton,
+    _log_one,
     log_normalized,
     series_exp,
 )
@@ -28,6 +30,9 @@ from oracles import (
     log_one_minus_strided,
     log_p,
 )
+
+
+PI = np.pi
 
 
 def _random_normalized(rng, order, scale=0.1):
@@ -89,6 +94,13 @@ class TestExpLog:
     def test_exp_rejects_constant_term(self):
         with pytest.raises(ValueError):
             series_exp(TruncatedSeries([0.5, 1]))
+
+    @pytest.mark.parametrize("c0", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_exp_rejects_non_finite_constant_term(self, c0):
+        # a NaN constant term passed abs(c0) > tol and was dropped: exp
+        # of [nan, 0.1, 0.2] returned [1, 0.1, 0.205]
+        with pytest.raises(ValueError, match="vanishing constant term"):
+            series_exp(TruncatedSeries([c0, 0.1, 0.2]))
 
     def test_log_of_identity_map(self):
         ell = log_normalized(identity(6))
@@ -231,6 +243,83 @@ class TestExpNewton:
             size = 2 * (order + 1)
             product = np.fft.ifft(np.fft.fft(q_minus_1.coeffs, size) * np.fft.fft(e, size))
             assert np.max(np.abs(k * e - product[: order + 1])) <= 1e-12
+
+
+def _mp_log(p, dps=40):
+    """log of the coefficient array `p` (p_0 = 1) by p L' = p' in `dps` digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        q = [mpmath.mpc(c.real, c.imag) for c in p]
+        dl = [mpmath.mpc(0)] * len(p)
+        for k in range(1, len(p)):
+            dl[k] = (k * q[k] - mpmath.fsum(dl[j] * q[k - j] for j in range(1, k))) / q[0]
+        return np.array([complex(d / k) if k else 0j for k, d in enumerate(dl)])
+
+
+# short exponentials keep the recurrence below _EXP_NEWTON_MIN: the
+# 1/n series of DorffParam(pi - 1e-3), whose E_k stay near 1, and the
+# rotated real and the complex series of the strip (-5, 5)
+_SHORT_EXP_SERIES = {
+    "dorff-pi-1e-3": DorffParam(PI - 1e-3).hat_rotation(np.arange(1, _EXP_NEWTON_MIN))[1],
+    "strip-5-5-real": StripParams(-5.0, 5.0).hat_rotation(np.arange(1, _EXP_NEWTON_MIN))[1],
+    "strip-5-5": StripParams(-5.0, 5.0).hat_coeff(np.arange(1, _EXP_NEWTON_MIN)),
+}
+_LOG_MEMBERS = {
+    "blaschke": (StripParams(-1.3, 3.7), SchwarzSpec("blaschke-factor", a=0.6 + 0.3j, phi=1.0)),
+    "strip-5-5": (StripParams(-5.0, 5.0), SchwarzSpec("scaled-rotation", c=0.95j)),
+    "strip-10-10": (StripParams(-10.0, 10.0), SchwarzSpec("scaled-rotation", c=0.9)),
+    "dorff-pi-1e-3": (DorffParam(PI - 1e-3), SchwarzSpec.identity()),
+}
+
+
+class TestShortSeriesAccuracy:
+    """Short series against the recurrence and 40-digit mpmath: an
+    exponential below ``_EXP_NEWTON_MIN`` is the recurrence, and the
+    audit's Newton log errs at most two ulps of its largest coefficient
+    more than the recurrence does, or is the recurrence."""
+
+    @pytest.mark.parametrize("name", list(_SHORT_EXP_SERIES))
+    def test_short_exp_is_the_recurrence(self, name):
+        a = np.concatenate([[0.0], _SHORT_EXP_SERIES[name]])
+        for order in range(100, _EXP_NEWTON_MIN):
+            got = series_exp(TruncatedSeries(a[: order + 1])).coeffs
+            assert np.array_equal(got, _exp_recurrence(a[: order + 1])), (name, order)
+
+    @pytest.mark.parametrize("name", list(_LOG_MEMBERS))
+    def test_log_at_the_audit_order(self, name):
+        target, spec = _LOG_MEMBERS[name]
+        f = generate_member(target, spec, 14020).truncate(129)
+        p = f.coeffs[1:]
+        exact = _mp_log(p)
+        got = log_normalized(f).coeffs
+        ref = _log_one(p)
+        if name == "strip-10-10":
+            # Newton errs 4.7e-8 here, the recurrence 7.5e-9: the residual
+            # gate sends it back
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert _log_newton(p) is None
+            assert np.array_equal(got, ref)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert _log_newton(p) is not None
+            # in ulps, not as a ratio: where the recurrence errs below an
+            # ulp, a ratio would turn on how np.sin and np.exp round
+            ulp = np.spacing(np.max(np.abs(exact)))
+            assert np.max(np.abs(got - exact)) <= np.max(np.abs(ref - exact)) + 2.0 * ulp, name
+
+    def test_log_of_a_series_in_z_to_the_k(self):
+        # a power member's f/z is a series in z^3: its log is the log of
+        # the root series spread to every third term, with exact zeros
+        # between, and matches the recurrence on the full series
+        target = StripParams(-1.3, 3.7)
+        f = generate_member(target, SchwarzSpec("power", c=0.9j, k=3), 14020).truncate(129)
+        got = log_normalized(f).coeffs
+        root = generate_member(target, SchwarzSpec("scaled-rotation", c=0.9j), 14020)
+        root_log = log_normalized(root.truncate(43)).coeffs / 3.0
+        assert not got[np.arange(len(got)) % 3 != 0].any()
+        assert np.max(np.abs(got[::3] - root_log)) <= 1e-15 * np.max(np.abs(root_log))
+        ref = _log_one(f.coeffs[1:])
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 class TestComposition:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -758,6 +759,17 @@ class TestAuditMember:
         assert audit_min_order(0.99, n_max=2000) == 2001
         with pytest.raises(ValueError):
             audit_min_order(1.0)
+
+    @pytest.mark.parametrize("n_max", [200.5, math.nan, math.inf, -1, True, "128"])
+    def test_min_order_rejects_bad_n_max(self, n_max):
+        # 200.5 gave 201.5, NaN the membership floor 64 and inf inf
+        with pytest.raises(ValueError, match="n_max must be an integer >= 0"):
+            audit_min_order(0.5, n_max=n_max)
+
+    def test_min_order_returns_a_python_int(self):
+        # np.int64(300) gave np.int64(301)
+        got = audit_min_order(0.5, n_max=np.int64(300))
+        assert got == 301 and type(got) is int
 
     def test_rejects_series_below_min_order(self):
         with pytest.raises(ValueError, match="need 129"):
