@@ -1,17 +1,22 @@
-"""The two convex univalent target maps and their integrated variants.
+"""The convex univalent target map of a vertical strip, its integrated
+variant, and the Dorff map as the same strip turned.
 
 ``p_strip_*`` functions realize the conformal map of the unit disc onto a
 vertical strip alpha < Re w < beta, normalized to 1 at the origin;
 ``dorff_*`` functions realize the Dorff map, whose real part fills the
-strip ((delta - pi)/(2 sin delta), delta/(2 sin delta)).  Each map comes
-in pointwise-evaluation and closed-form-coefficient form, plus the
+strip ((delta - pi)/(2 sin delta), delta/(2 sin delta)).  The Dorff map
+is that strip's map minus 1 at the turned point e^{-i pi mu} z, so one
+strip implementation serves both: ``DorffParam`` is a ``StripParams``
+built from delta that applies the turn to its factors and its
+integrated-map rotation, which makes its coefficients real.  Each map
+comes in pointwise-evaluation and closed-form-coefficient form, plus the
 integrated variant obtained by applying Int_0^z (.)/t dt, which majorizes
 log(f(z)/z) over the corresponding function class.
 
-Both parameter classes carry what the family-blind code needs: strip
-edges, map factors, integrated-map coefficients and the coefficient bounds,
+The strip class carries what the family-blind code needs: strip edges,
+map factors, integrated-map coefficients and the coefficient bounds,
 from fields stored as the Python floats that :func:`_store_numbers` checked.
-The pointwise maps read each family's formula from its factors, as
+The pointwise maps read the formula from the factors, as
 ``logcoef.generate_member`` does; a scalar point or index takes the array
 path and returns its NumPy scalar (a ``complex`` or ``float`` subclass).
 
@@ -26,6 +31,7 @@ drops the digits of a small argument.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -39,7 +45,6 @@ __all__ = [
     "b_strip_coeff",
     "p_hat_eval",
     "dorff_eval",
-    "a_dorff_coeff",
     "b_tilde_eval",
 ]
 
@@ -59,7 +64,7 @@ class StripParams:
     def __post_init__(self) -> None:
         _store_numbers(self, "strip parameter", alpha=float, beta=float)
         # the width too: finite edges can still overflow it
-        if not np.all(np.isfinite((self.alpha, self.beta, self.width))):
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.width))):
             raise ValueError("strip parameters must be finite")
         if not self.alpha < 1.0 < self.beta:
             raise ValueError("strip parameters require alpha < 1 < beta")
@@ -112,7 +117,7 @@ class StripParams:
         from the reduced r = n t - j of :func:`b_strip_coeff`."""
         n = _check_index(n)
         s, t, r, j = _reduced_phase(self, n)
-        rho = s * (2.0 * self.width / np.pi) * np.sin(np.pi * r) * (-1.0) ** j / n**2
+        rho = s * (2.0 * self.width / np.pi) * np.sin(np.pi * r) * _parity_sign(j) / n**2
         return np.exp(1j * np.pi * s * t), rho
 
     def per_n_bound(self, n):
@@ -135,62 +140,44 @@ class StripParams:
 
 
 @dataclass(frozen=True)
-class DorffParam:
-    """Angle delta in [pi/2, pi) steering the Dorff strip; NaN and inf fail."""
+class DorffParam(StripParams):
+    """M(delta), delta in [pi/2, pi), as the strip it is, S(alpha, beta)
+    with alpha = 1 - (pi - delta)/(2 sin delta) and beta = 1 + delta/(2 sin
+    delta), turned by z -> e^{-i pi mu} z so that its map is the Dorff
+    map and its integrated-map coefficients are real; NaN and inf fail."""
 
     family: ClassVar[str] = "dorff"
+    alpha: float = field(init=False, repr=False)
+    beta: float = field(init=False, repr=False)
     delta: float
 
     def __post_init__(self) -> None:
         _store_numbers(self, "dorff parameter", delta=float)
         if not np.pi / 2.0 <= self.delta < np.pi:
             raise ValueError("delta must lie in [pi/2, pi)")
-
-    @property
-    def _pi_minus_delta(self) -> float:
-        """pi - delta with the part of pi that np.pi drops added back, so
-        the difference keeps its digits as delta nears pi."""
-        return (np.pi - self.delta) + _PI_LOW
-
-    @property
-    def lower(self) -> float:
-        """Lower edge of Re zf'/f for the associated class."""
-        return 1.0 - self._pi_minus_delta / (2.0 * np.sin(self.delta))
-
-    @property
-    def upper(self) -> float:
-        return 1.0 + self.delta / (2.0 * np.sin(self.delta))
-
-    @property
-    def tail_constant(self) -> float:
-        return 0.5 / np.sin(self.delta)
+        # pi - delta with the part of pi that np.pi drops added back, so
+        # the lower edge keeps its digits as delta nears pi
+        eps = (np.pi - self.delta) + _PI_LOW
+        sin = np.sin(self.delta)
+        object.__setattr__(self, "alpha", 1.0 - eps / (2.0 * sin))
+        object.__setattr__(self, "beta", 1.0 + self.delta / (2.0 * sin))
+        super().__post_init__()
 
     def factors(self) -> tuple[complex, complex, complex]:
-        phase = np.exp(1j * self.delta)
-        return 1.0 / (2j * np.sin(self.delta)), -phase, -np.conj(phase)
+        """The strip's factors at the turned point: lam1 e^{-i pi mu} = s tau
+        and lam2 e^{-i pi mu} = s conj(tau), tau = e^{i pi s t}."""
+        s, t = self._phase()
+        lam = s * np.exp(1j * np.pi * s * t)
+        return (self.width / np.pi) * 1j, lam, np.conj(lam)
 
     def hat_coeff(self, n):
-        """Coefficient n of the integrated Dorff map: a_dorff_coeff / n (it checks n)."""
-        return a_dorff_coeff(self, n) / n
+        """Coefficient n of the integrated Dorff map, the real rho_n of :meth:`hat_rotation`."""
+        return self.hat_rotation(n)[1]
 
     def hat_rotation(self, n):
-        """(1, hat_coeff(n)): the Dorff coefficients are real already."""
-        return 1.0, self.hat_coeff(n)
-
-    @staticmethod
-    def per_n_bound(n):
-        """|gamma_n| <= 1/(2n), the same for every delta."""
-        return 0.5 / _check_index(n)
-
-    def sum_bound(self) -> float:
-        """Sharp upper bound for sum |gamma_n|^2 over the Dorff class.
-
-        (pi^4/45 - [Li_4 at the conjugate pair with angle 2 delta])
-        / (16 sin^2 delta), in the closed form
-        delta^2 (pi - delta)^2 / (24 sin^2 delta); strictly positive for
-        every admissible delta.
-        """
-        return (self.delta * self._pi_minus_delta) ** 2 / (24.0 * np.sin(self.delta) ** 2)
+        """(1, rho_n s^n): the strip's tau^n turned by e^{-i pi mu n} is s^n."""
+        _, rho = super().hat_rotation(n)  # it checks n
+        return 1.0, rho if self._phase()[0] > 0.0 else rho * _parity_sign(np.asarray(n))
 
     def describe(self) -> dict:
         return {"delta": self.delta}
@@ -222,6 +209,12 @@ def _check_index(n) -> np.ndarray:
     if n.dtype.kind not in "iu" or (n < 1).any():
         raise ValueError("coefficient index must be an integer >= 1")
     return n
+
+
+def _parity_sign(j) -> np.ndarray:
+    """(-1)^j for an integer-valued array j, exactly: the bits of
+    (-1.0) ** j without the power."""
+    return np.where(j.astype(np.int64) & 1, -1.0, 1.0)
 
 
 def _check_disc(z) -> np.ndarray:
@@ -365,18 +358,6 @@ def dorff_eval(d: DorffParam, z):
     return _map_minus_center(_evaluable(d), z)
 
 
-def a_dorff_coeff(d: DorffParam, n):
-    """Taylor coefficient n >= 1 of the Dorff map: (-1)^(n-1) sin(n delta)/(n sin delta).
-
-    With eps = pi - delta this is sin(n eps)/(n sin eps): the rounded
-    product n * delta near n pi would keep no digits of the sine, n * eps
-    keeps them all.  A_1 = 1 for every delta.
-    """
-    n = _check_index(n)
-    eps = d._pi_minus_delta
-    return np.sin(n * eps) / (n * np.sin(eps))
-
-
 def b_tilde_eval(d: DorffParam, z):
     """Pointwise integrated Dorff map via dilogarithm primitives.
 
@@ -388,7 +369,7 @@ def b_tilde_eval(d: DorffParam, z):
 
 def _evaluable(d: DorffParam) -> DorffParam:
     # sin(delta) degenerates at delta = pi: both pointwise Dorff maps stay
-    # this far from it, while the coefficient formulas (ratios) remain stable
+    # this far from it, while the coefficients, from the reduced phase, remain stable
     if d.delta > np.pi - 1e-6:
         raise ValueError("pointwise Dorff evaluation needs delta <= pi - 1e-6")
     return d

@@ -11,8 +11,10 @@ rotated real exponential of zero-free members), that exponential at the
 full length against ``generate_member``'s proven Cauchy length, the
 power-family member built at full order against ``generate_member``'s
 k-th root transform, the full-mode fold against the membership audit's,
-the map series against circle sampling, and the integrated-map
-series against the pointwise integrated maps and, exponentiated,
+the map series against circle sampling, the Dorff map's own
+closed-form coefficients against the turned strip that ``DorffParam``
+is, and the integrated-map series against the pointwise integrated
+maps and, exponentiated,
 ``generate_member`` with omega(z) = z, and the closed-form
 Re(1 + z h''/h') against ``convexity_probe``.
 """
@@ -22,7 +24,7 @@ from collections.abc import Callable
 import numpy as np
 
 from stripcoef.logcoef import _powers, _roots
-from stripcoef.maps import DorffParam, StripParams, a_dorff_coeff, b_strip_coeff
+from stripcoef.maps import _PI_LOW, DorffParam, StripParams, b_strip_coeff
 from stripcoef.series import _NORMALIZED_TOL, TruncatedSeries, _fft_len, series_exp
 from stripcoef.verify import _circle_grid
 
@@ -177,9 +179,20 @@ def p_strip_series(p: StripParams, order: int) -> TruncatedSeries:
     return _series(1.0, b_strip_coeff(p, np.arange(1, order + 1)))
 
 
+def dorff_coeff(d: DorffParam, n) -> np.ndarray:
+    """Taylor coefficient n >= 1 of the Dorff map from its own closed form,
+    (-1)^(n-1) sin(n delta)/(n sin delta) = sin(n eps)/(n sin eps) with
+    eps = pi - delta, none of it from the strip code: the rounded product
+    n * delta near n pi would keep no digits of the sine, n * eps keeps
+    them all.  A_1 = 1 for every delta."""
+    n = np.asarray(n)
+    eps = (np.pi - d.delta) + _PI_LOW
+    return np.sin(n * eps) / (n * np.sin(eps))
+
+
 def dorff_series(d: DorffParam, order: int) -> TruncatedSeries:
     """Truncated Taylor series of the Dorff map (vanishes at 0)."""
-    return _series(0.0, a_dorff_coeff(d, np.arange(1, order + 1)))
+    return _series(0.0, dorff_coeff(d, np.arange(1, order + 1)))
 
 
 def hat_series(target, order: int) -> TruncatedSeries:

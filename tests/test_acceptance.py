@@ -24,7 +24,6 @@ from stripcoef.logcoef import (
 from stripcoef.maps import (
     DorffParam,
     StripParams,
-    a_dorff_coeff,
     b_strip_coeff,
     b_tilde_eval,
     dorff_eval,
@@ -183,7 +182,7 @@ def test_criterion_7_coefficient_oracle_equivalence():
         pairs = [
             (b_strip_coeff(p, n), lambda z: p_strip_eval(p, z)),
             (p.hat_coeff(n), lambda z: p_hat_eval(p, z)),
-            (a_dorff_coeff(d, n), lambda z: dorff_eval(d, z)),
+            (n * d.hat_coeff(n), lambda z: dorff_eval(d, z)),
             (d.hat_coeff(n), lambda z: b_tilde_eval(d, z)),
         ]
         for exact, eval_fn in pairs:

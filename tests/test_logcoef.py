@@ -704,7 +704,7 @@ def _exact_hats(target, count: int) -> list:
     import mpmath
 
     with mpmath.workdps(30):
-        if isinstance(target, StripParams):
+        if target.family == "strip":
             alpha, beta = mpmath.mpf(target.alpha), mpmath.mpf(target.beta)
             width, mu = beta - alpha, (1 - alpha) / (beta - alpha)
             return [

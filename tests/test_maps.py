@@ -9,7 +9,7 @@ from stripcoef.maps import (
     StripParams,
     _li2,
     _map_minus_center,
-    a_dorff_coeff,
+    _parity_sign,
     b_strip_coeff,
     b_tilde_eval,
     dorff_eval,
@@ -147,11 +147,11 @@ class TestStripMap:
         # these were rounded by int() or passed through to a NaN value
         for coeff in (
             lambda n: b_strip_coeff(HALF, n),
-            lambda n: a_dorff_coeff(RIGHT, n),
             HALF.hat_coeff,
+            RIGHT.hat_coeff,
             DorffParam(2.0).hat_coeff,
             HALF.per_n_bound,
-            DorffParam.per_n_bound,
+            RIGHT.per_n_bound,
         ):
             with pytest.raises(ValueError, match="integer"):
                 coeff(n)
@@ -226,6 +226,11 @@ class TestIntegratedStripMap:
         assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-15
 
 
+    def test_parity_sign_is_the_power(self):
+        # hat_rotation's sign (-1)^j, by parity instead of a power, to the bit
+        j = np.ceil(np.arange(1, 4097) * 0.3 - 0.5)
+        assert np.array_equal(_parity_sign(j), (-1.0) ** j)
+
     @pytest.mark.parametrize(
         "p",
         [
@@ -263,8 +268,9 @@ class TestDorffMap:
         d = DorffParam(PI - 1e-7)
         with pytest.raises(ValueError):
             dorff_eval(d, 0.5)
-        # the coefficient formula keeps working there
-        assert a_dorff_coeff(d, 1) == 1.0
+        # the coefficients keep working there; A_1 = 1 reads
+        # 0.9999999999999998, the turned strip's rounding
+        assert abs(d.hat_coeff(1) - 1.0) <= 4.0 * np.spacing(1.0)
 
     def test_lower_edge_near_pi_against_mpmath(self):
         # 1 + (delta - np.pi)/(2 sin delta) was 0.608 at the last double below pi
@@ -277,11 +283,12 @@ class TestDorffMap:
 
     def test_first_coefficient_is_one_for_all_delta(self):
         for delta in np.linspace(PI / 2.0, PI - 1e-3, 20):
-            assert abs(a_dorff_coeff(DorffParam(delta), 1) - 1.0) < 1e-12
+            assert abs(DorffParam(delta).hat_coeff(1) - 1.0) < 1e-12
 
     def test_right_angle_coefficients(self):
-        assert abs(a_dorff_coeff(RIGHT, 3) + 1.0 / 3.0) < 1e-15
-        assert abs(a_dorff_coeff(RIGHT, 2)) < 1e-15
+        # delta = pi/2 takes the strip's nu branch (mu rounds above 1/2)
+        assert abs(3 * RIGHT.hat_coeff(3) + 1.0 / 3.0) < 1e-15
+        assert abs(2 * RIGHT.hat_coeff(2)) < 1e-15
 
     def test_coefficient_bound(self):
         rng = np.random.default_rng(19)
@@ -289,7 +296,7 @@ class TestDorffMap:
             d = DorffParam(rng.uniform(PI / 2.0, PI - 1e-3))
             n = np.arange(1, 65)
             cap = np.minimum(n, 1.0 / np.sin(d.delta)) / n
-            assert np.all(np.abs(a_dorff_coeff(d, n)) <= cap + 1e-12)
+            assert np.all(np.abs(n * d.hat_coeff(n)) <= cap + 1e-12)
 
     def test_first_coefficient_from_sampling(self):
         sampled = coeffs_by_circle_sampling(lambda z: dorff_eval(RIGHT, z), 8, 0.5)
@@ -363,7 +370,8 @@ class TestScalarsTakeTheArrayPath:
             b_strip_coeff(HALF, 3),
         ):
             assert type(value) is np.complex128
-        assert type(a_dorff_coeff(RIGHT, 3)) is np.float64
+        for d in (RIGHT, DorffParam(2.0)):
+            assert type(d.hat_coeff(3)) is np.float64
         assert p_strip_eval(HALF, 0.3) == p_strip_eval(HALF, [0.3])[0]
 
 

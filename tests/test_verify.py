@@ -13,6 +13,7 @@ from stripcoef.logcoef import (
     random_strip_params,
 )
 from stripcoef.maps import (
+    _PI_LOW,
     DorffParam,
     StripParams,
     b_strip_coeff,
@@ -42,7 +43,7 @@ from stripcoef.verify import (
     sum_tail,
 )
 
-from oracles import convexity_quantity, identity, membership_extremes
+from oracles import convexity_quantity, dorff_coeff, identity, membership_extremes
 
 PI = np.pi
 HALF = StripParams(0.5, 1.5)
@@ -185,18 +186,22 @@ class TestPerNBounds:
             assert abs(p.per_n_bound(n) - 1.0 / n) < 1e-6
 
     def test_dorff_values(self):
-        assert DorffParam.per_n_bound(1) == 0.5
-        assert DorffParam.per_n_bound(2) == 0.25
+        assert RIGHT.per_n_bound(1) == 0.5
+        assert RIGHT.per_n_bound(2) == 0.25
 
     def test_dorff_attained_at_first_gamma(self):
         gammas = extremal_gammas(RIGHT, 16)
-        assert abs(gammas[0]) == DorffParam.per_n_bound(1)
+        assert abs(gammas[0]) == RIGHT.per_n_bound(1)
+        # gamma_1 and the bound share the strip's (width/pi) sin(pi t): equal to the bit
+        for delta in np.linspace(PI / 2.0, PI - 1e-3, 601):
+            d = DorffParam(delta)
+            assert abs(extremal_gammas(d, 2)[0]) == d.per_n_bound(1), delta
 
     def test_reject_bad_index(self):
         with pytest.raises(ValueError):
             HALF.per_n_bound(0)
         with pytest.raises(ValueError):
-            DorffParam.per_n_bound(0)
+            RIGHT.per_n_bound(0)
 
 
 class TestSumGammaSq:
@@ -789,20 +794,27 @@ class TestAuditMember:
 
 class TestDorffIsAStrip:
     """M(delta) is S(alpha, beta) with alpha = 1 + (delta - pi)/(2 sin delta)
-    and beta = 1 + delta/(2 sin delta), which ties the two families'
-    independent formulas together."""
+    and beta = 1 + delta/(2 sin delta); DorffParam is that strip, turned
+    by z -> e^{-i pi mu} z.  The Dorff map's own closed forms check it."""
 
-    @pytest.mark.parametrize("delta", np.linspace(PI / 2.0, PI - 1e-3, 9))
+    @pytest.mark.parametrize("delta", [*np.linspace(PI / 2.0, PI - 1e-3, 9), PI - 1e-6])
     def test_bounds_and_extremal_agree(self, delta):
         order = 1024
         d = DorffParam(delta)
-        p = StripParams(d.lower, d.upper)
         n = np.arange(1, order + 1)
-        assert p.sum_bound() == pytest.approx(d.sum_bound(), rel=1e-12, abs=0.0)
-        assert p.tail_constant == pytest.approx(d.tail_constant, rel=1e-12, abs=0.0)
-        assert np.allclose(p.per_n_bound(n), d.per_n_bound(n), rtol=1e-12, atol=0.0)
-        # the strip map at z is the Dorff map at -e^{-i delta} z, shifted by 1
-        dorff = extremal_gammas(d, order)
-        rotated = dorff * (-np.exp(-1j * delta)) ** n
-        gap = np.max(np.abs(extremal_gammas(p, order) - rotated))
-        assert gap <= 1e-12 * np.max(np.abs(dorff))
+        eps, sin = (PI - delta) + _PI_LOW, np.sin(delta)
+        assert d.lower == pytest.approx(1.0 - eps / (2.0 * sin), rel=1e-12, abs=0.0)
+        assert d.upper == pytest.approx(1.0 + delta / (2.0 * sin), rel=1e-12, abs=0.0)
+        want = (delta * eps) ** 2 / (24.0 * sin**2)
+        assert d.sum_bound() == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert np.allclose(d.per_n_bound(n), 0.5 / n, rtol=1e-12, atol=0.0)
+        assert d.tail_constant == pytest.approx(0.5 / sin, rel=1e-12, abs=0.0)
+        # the turn makes the gammas real: A_n / (2n) with A_n the Dorff coefficient
+        gammas = extremal_gammas(d, order)
+        exact = dorff_coeff(d, n) / (2.0 * n)
+        assert gammas.dtype == float
+        assert np.max(np.abs(gammas - exact)) <= 1e-12 * np.max(np.abs(exact))
+        # unturned, the strip's gamma_n is the Dorff gamma_n times (-e^{-i delta})^n
+        strip = extremal_gammas(StripParams(d.lower, d.upper), order)
+        rotated = exact * (-np.exp(-1j * delta)) ** n
+        assert np.max(np.abs(strip - rotated)) <= 1e-12 * np.max(np.abs(exact))
