@@ -1,17 +1,12 @@
-"""The convex univalent target map of a vertical strip, its integrated
-variant, and the Dorff map as the same strip turned.
-
-``p_strip_*`` functions realize the conformal map of the unit disc onto a
-vertical strip alpha < Re w < beta, normalized to 1 at the origin;
-``dorff_*`` functions realize the Dorff map, whose real part fills the
-strip ((delta - pi)/(2 sin delta), delta/(2 sin delta)).  The Dorff map
-is that strip's map minus 1 at the turned point e^{-i pi mu} z, so one
-strip implementation serves both: ``DorffParam`` is a ``StripParams``
-built from delta that applies the turn to its factors and its
-integrated-map rotation, which makes its coefficients real.  Each map
-comes in pointwise-evaluation and closed-form-coefficient form, plus the
-integrated variant obtained by applying Int_0^z (.)/t dt, which majorizes
-log(f(z)/z) over the corresponding function class.
+"""One strip for both classes: the convex univalent map of a vertical
+strip alpha < Re w < beta, 1 at the origin, and its integrated variant
+Int_0^z (.)/t dt of the map minus its center, which majorizes
+log(f(z)/z) over the class.  ``DorffParam`` is the strip of M(delta)
+built from delta and turned by z -> e^{-i pi mu} z, so that its map
+minus 1 is the Dorff map and its coefficients are real.  For either,
+``target.hat_coeff(n)`` is the integrated map's coefficient and n times
+it the map's; the map reads any strip, the integrated map one with
+min(mu, 1 - mu) >= 1e-6/pi.
 
 The strip class carries what the family-blind code needs: strip edges,
 map factors, integrated-map coefficients and the coefficient bounds,
@@ -42,7 +37,6 @@ __all__ = [
     "StripParams",
     "DorffParam",
     "p_strip_eval",
-    "b_strip_coeff",
     "p_hat_eval",
     "dorff_eval",
     "b_tilde_eval",
@@ -50,6 +44,9 @@ __all__ = [
 
 # pi - np.pi rounded to a double
 _PI_LOW = 1.2246467991473532e-16
+
+# least min(mu, 1 - mu) of the integrated map's domain: the Dorff strip's at delta = pi - 1e-6
+_INTEGRATED_MIN_PHASE = 1e-6 / np.pi
 
 
 @dataclass(frozen=True)
@@ -81,14 +78,6 @@ class StripParams:
         return self.beta - self.alpha
 
     @property
-    def lower(self) -> float:
-        return self.alpha
-
-    @property
-    def upper(self) -> float:
-        return self.beta
-
-    @property
     def tail_constant(self) -> float:
         """C with |gamma_n| <= C/n**2 for the extremal gammas."""
         return self.width / np.pi
@@ -108,13 +97,17 @@ class StripParams:
         return (self.width / np.pi) * 1j, np.exp(s * 2j * np.pi * t), 1.0 + 0.0j
 
     def hat_coeff(self, n):
-        """Coefficient n of the integrated strip map: b_strip_coeff / n (it checks n)."""
-        return b_strip_coeff(self, n) / n
+        """Coefficient n >= 1 of the integrated map; n times it, the map's
+        (width/(n pi)) i (1 - e^{2 pi i s r}), is at most 2 width/(n pi)."""
+        n = _check_index(n)
+        s, _, r, _ = _reduced_phase(self, n)
+        one_minus_phase = _complex(2.0 * np.sin(np.pi * r) ** 2, -s * np.sin(2.0 * np.pi * r))
+        return (self.width / (n * np.pi)) * 1j * one_minus_phase / n
 
     def hat_rotation(self, n):
         """(tau, rho_n) with hat_coeff(n) = rho_n tau**n and rho_n real:
         tau = e^{i pi s t} and rho_n = s (2 width/pi) sin(pi r) (-1)^j / n^2
-        from the reduced r = n t - j of :func:`b_strip_coeff`."""
+        from the reduced r = n t - j of :meth:`hat_coeff`."""
         n = _check_index(n)
         s, t, r, j = _reduced_phase(self, n)
         rho = s * (2.0 * self.width / np.pi) * np.sin(np.pi * r) * _parity_sign(j) / n**2
@@ -247,7 +240,13 @@ def _map_minus_center(target, z):
 
 def _integrated_map(target, z):
     """kappa [Li_2(lam2 z) - Li_2(lam1 z)], the integral of the map minus
-    its center over t from 0 to z, by Int_0^z log(1 - c t)/t dt = -Li_2(c z)."""
+    its center over v from 0 to z, by Int_0^z log(1 - c v)/v dv = -Li_2(c z).
+
+    lam1 and lam2 lie 2 sin(pi t) apart, t = min(mu, 1 - mu), so the
+    difference keeps ~eps/t of relative rounding: t < 1e-6/pi raises.
+    """
+    if target._phase()[1] < _INTEGRATED_MIN_PHASE:
+        raise ValueError("the integrated map needs min(mu, 1 - mu) >= 1e-6/pi")
     z = _check_disc(z)
     kappa, lam1, lam2 = target.factors()
     return kappa * (_li2(lam2 * z) - _li2(lam1 * z))
@@ -258,20 +257,13 @@ def p_strip_eval(p: StripParams, z):
     return 1.0 + _map_minus_center(p, z)
 
 
-def b_strip_coeff(p: StripParams, n):
-    """Taylor coefficient n >= 1 of the strip map; |result| <= 2*width/(n*pi)."""
-    n = _check_index(n)
-    s, _, r, _ = _reduced_phase(p, n)
-    one_minus_phase = _complex(2.0 * np.sin(np.pi * r) ** 2, -s * np.sin(2.0 * np.pi * r))
-    return (p.width / (n * np.pi)) * 1j * one_minus_phase
-
-
 def _reduced_phase(p: StripParams, n):
     """(s, t, r, j), e^{2 pi i n mu} = e^{2 pi i s r} with r = n t - j reduced
     exactly to (-1/2, 1/2]: no subtraction follows, and integer n t gives 0."""
     s, t = p._phase()
-    j = np.ceil(n * t - 0.5)
-    return s, t, n * t - j, j
+    nt = n * t
+    j = np.ceil(nt - 0.5)
+    return s, t, nt - j, j
 
 
 # B_{2k} / (2k+1)! for k = 1..10 (B_2 = 1/6, B_4 = -1/30, ...): the
@@ -350,26 +342,10 @@ def p_hat_eval(p: StripParams, z):
 
 
 def dorff_eval(d: DorffParam, z):
-    """Value of the Dorff map; vanishes at the origin.
-
-    Restricted to delta <= pi - 1e-6, the edge of :func:`b_tilde_eval`;
-    the single log of the ratio keeps its digits up to there.
-    """
-    return _map_minus_center(_evaluable(d), z)
+    """Value of the Dorff map, the turned strip's map minus 1, for every delta < pi."""
+    return _map_minus_center(d, z)
 
 
 def b_tilde_eval(d: DorffParam, z):
-    """Pointwise integrated Dorff map via dilogarithm primitives.
-
-    Restricted to delta <= pi - 1e-6: closer to pi the 1/(2 sin delta)
-    prefactor amplifies rounding in the Li_2 difference.
-    """
-    return _integrated_map(_evaluable(d), z)
-
-
-def _evaluable(d: DorffParam) -> DorffParam:
-    # sin(delta) degenerates at delta = pi: both pointwise Dorff maps stay
-    # this far from it, while the coefficients, from the reduced phase, remain stable
-    if d.delta > np.pi - 1e-6:
-        raise ValueError("pointwise Dorff evaluation needs delta <= pi - 1e-6")
-    return d
+    """Pointwise integrated Dorff map via dilogarithm primitives, for delta <= pi - 1e-6."""
+    return _integrated_map(d, z)

@@ -278,7 +278,7 @@ def membership_check(
     angles = _require_order(angles, 1, "angles")
     if not f.is_normalized():
         raise ValueError("membership audit requires a normalized series")
-    lower, upper = target.lower, target.upper
+    lower, upper = target.alpha, target.beta
     # up to the last nonzero coefficient: trailing exact zeros would only
     # add rows of zeros to the fold's sum, which leave it as it is
     # (a nonzero test on the float view: np.flatnonzero on complex took 9x)

@@ -11,7 +11,8 @@ rotated real exponential of zero-free members), that exponential at the
 full length against ``generate_member``'s proven Cauchy length, the
 power-family member built at full order against ``generate_member``'s
 k-th root transform, the full-mode fold against the membership audit's,
-the map series against circle sampling, the Dorff map's own
+the map series against circle sampling, the strip map's closed-form
+coefficients against the integrated map's, the Dorff map's own
 closed-form coefficients against the turned strip that ``DorffParam``
 is, and the integrated-map series against the pointwise integrated
 maps and, exponentiated,
@@ -24,7 +25,7 @@ from collections.abc import Callable
 import numpy as np
 
 from stripcoef.logcoef import _powers, _roots
-from stripcoef.maps import _PI_LOW, DorffParam, StripParams, b_strip_coeff
+from stripcoef.maps import _PI_LOW, DorffParam, StripParams
 from stripcoef.series import _NORMALIZED_TOL, TruncatedSeries, _fft_len, series_exp
 from stripcoef.verify import _circle_grid
 
@@ -172,6 +173,19 @@ def zero_free_member_full_length(target, spec, order: int) -> TruncatedSeries:
 def _series(c0: complex, coeffs: np.ndarray) -> TruncatedSeries:
     """c0 + sum_{n=1..len(coeffs)} coeffs[n - 1] z**n."""
     return TruncatedSeries(np.concatenate([[c0], coeffs]))
+
+
+def b_strip_coeff(p: StripParams, n) -> np.ndarray:
+    """Taylor coefficient n >= 1 of the unturned strip map from its closed
+    form (width/(n pi)) i (1 - e^{2 pi i s r}), r = n t reduced to
+    (-1/2, 1/2]: ``StripParams.hat_coeff`` before its division by n.
+    A ``DorffParam`` is turned, so its map has n times its own ``hat_coeff``."""
+    n = np.asarray(n)
+    s, t = p._phase()
+    nt = n * t
+    r = nt - np.ceil(nt - 0.5)
+    one_minus_phase = 2.0 * np.sin(np.pi * r) ** 2 - 1j * (s * np.sin(2.0 * np.pi * r))
+    return (p.width / (n * np.pi)) * 1j * one_minus_phase
 
 
 def p_strip_series(p: StripParams, order: int) -> TruncatedSeries:

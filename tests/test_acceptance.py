@@ -24,7 +24,6 @@ from stripcoef.logcoef import (
 from stripcoef.maps import (
     DorffParam,
     StripParams,
-    b_strip_coeff,
     b_tilde_eval,
     dorff_eval,
     p_hat_eval,
@@ -43,7 +42,7 @@ from stripcoef.verify import (
     sum_tail,
 )
 
-from oracles import coeffs_by_circle_sampling
+from oracles import b_strip_coeff, coeffs_by_circle_sampling
 
 PI = np.pi
 

@@ -16,10 +16,11 @@ from stripcoef.logcoef import (
     random_schwarz_spec,
     random_strip_params,
 )
-from stripcoef.maps import DorffParam, StripParams, b_strip_coeff
+from stripcoef.maps import DorffParam, StripParams
 from stripcoef.series import TruncatedSeries, series_exp
 
 from oracles import (
+    b_strip_coeff,
     compose_schwarz,
     evaluate,
     factor_log_member,

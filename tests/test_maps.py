@@ -10,13 +10,13 @@ from stripcoef.maps import (
     _li2,
     _map_minus_center,
     _parity_sign,
-    b_strip_coeff,
     b_tilde_eval,
     dorff_eval,
     p_hat_eval,
     p_strip_eval,
 )
 from oracles import (
+    b_strip_coeff,
     coeffs_by_circle_sampling,
     dorff_series,
     evaluate,
@@ -106,8 +106,8 @@ class TestParams:
         assert DorffParam(PI / 2.0).delta == PI / 2.0
 
     def test_dorff_interval_at_right_angle(self):
-        assert abs(RIGHT.lower - (1.0 - PI / 4.0)) < 1e-15
-        assert abs(RIGHT.upper - (1.0 + PI / 4.0)) < 1e-15
+        assert abs(RIGHT.alpha - (1.0 - PI / 4.0)) < 1e-15
+        assert abs(RIGHT.beta - (1.0 + PI / 4.0)) < 1e-15
 
 
 class TestStripMap:
@@ -119,34 +119,33 @@ class TestStripMap:
             p_strip_eval(HALF, 1.0)
 
     def test_first_coefficient_symmetric_strip(self):
-        assert abs(b_strip_coeff(HALF, 1) - 2j / PI) < 1e-15
+        assert abs(HALF.hat_coeff(1) - 2j / PI) < 1e-15
 
     def test_even_coefficients_vanish_exactly(self):
-        assert b_strip_coeff(HALF, 2) == 0.0
-        assert b_strip_coeff(HALF, 4) == 0.0
+        assert HALF.hat_coeff(2) == 0.0
+        assert HALF.hat_coeff(4) == 0.0
 
     def test_coefficient_modulus_bound(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             p = StripParams(rng.uniform(-2, 0.9), rng.uniform(1.1, 4))
             n = np.arange(1, 65)
-            assert np.all(np.abs(b_strip_coeff(p, n)) <= 2 * p.width / (n * PI) + 1e-15)
+            assert np.all(np.abs(n * p.hat_coeff(n)) <= 2 * p.width / (n * PI) + 1e-15)
 
     def test_first_coefficient_never_zero(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             p = StripParams(rng.uniform(-2, 0.9), rng.uniform(1.1, 4))
-            assert abs(b_strip_coeff(p, 1)) > 1e-3
+            assert abs(p.hat_coeff(1)) > 1e-3
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
-            b_strip_coeff(HALF, 0)
+            HALF.hat_coeff(0)
 
     @pytest.mark.parametrize("n", [float("nan"), 1.5, 2.5, 2.7, True, np.array([1, 2.5])])
     def test_rejects_non_integer_index(self, n):
         # these were rounded by int() or passed through to a NaN value
         for coeff in (
-            lambda n: b_strip_coeff(HALF, n),
             HALF.hat_coeff,
             RIGHT.hat_coeff,
             DorffParam(2.0).hat_coeff,
@@ -198,12 +197,27 @@ class TestStripMap:
         )
         exact = p_strip_series(HALF, 24)
         assert np.max(np.abs(sampled.coeffs - exact.coeffs)) < 1e-8
+        # a target's map coefficients are n hat_coeff(n) for both families;
+        # delta = pi/2 takes the strip's nu branch (s = -1), and the
+        # unturned strip coefficient of a DorffParam is not its map's
+        n = np.arange(1, 25)
+        for d in (RIGHT, DorffParam(2.0), DorffParam(PI - 1e-3)):
+            sampled = coeffs_by_circle_sampling(
+                lambda z: p_strip_eval(d, z) - 1.0, 24, 0.5, samples=2048
+            )
+            assert abs(sampled.coeffs[0]) < 1e-15
+            assert np.max(np.abs(sampled.coeffs[1:] - n * d.hat_coeff(n))) < 1e-8, d
 
 
 class TestIntegratedStripMap:
     def test_coeff_is_scaled_map_coeff(self):
         for n in range(1, 65):
             assert HALF.hat_coeff(n) == b_strip_coeff(HALF, n) / n
+        rng = np.random.default_rng(71)
+        n = np.arange(1, 300)
+        for _ in range(50):
+            p = StripParams(rng.uniform(-5, 0.99), rng.uniform(1.01, 6))
+            assert np.array_equal(p.hat_coeff(n), b_strip_coeff(p, n) / n)
 
     def test_symmetric_values(self):
         assert abs(HALF.hat_coeff(1) - 2j / PI) < 1e-15
@@ -265,9 +279,11 @@ class TestDorffMap:
             dorff_eval(RIGHT, -1.0)
 
     def test_rejects_delta_at_parameter_boundary(self):
+        # delta = pi is no target; the map reads every delta below it
+        with pytest.raises(ValueError, match="delta must lie"):
+            DorffParam(PI)
         d = DorffParam(PI - 1e-7)
-        with pytest.raises(ValueError):
-            dorff_eval(d, 0.5)
+        assert np.all(np.isfinite(dorff_eval(d, [0.5, -0.5, 0.99j])))
         # the coefficients keep working there; A_1 = 1 reads
         # 0.9999999999999998, the turned strip's rounding
         assert abs(d.hat_coeff(1) - 1.0) <= 4.0 * np.spacing(1.0)
@@ -279,7 +295,7 @@ class TestDorffMap:
             for delta in (3.0, 3.141592653589, np.nextafter(PI, 0.0)):
                 x = mpmath.mpf(delta)
                 exact = float(1 + (x - mpmath.pi) / (2 * mpmath.sin(x)))
-                assert abs(DorffParam(delta).lower - exact) <= 1e-15 * abs(exact), delta
+                assert abs(DorffParam(delta).alpha - exact) <= 1e-15 * abs(exact), delta
 
     def test_first_coefficient_is_one_for_all_delta(self):
         for delta in np.linspace(PI / 2.0, PI - 1e-3, 20):
@@ -320,8 +336,11 @@ class TestDorffMap:
 
 class TestIntegratedDorffMap:
     def test_rejects_delta_at_parameter_boundary(self):
-        with pytest.raises(ValueError, match=r"delta <= pi - 1e-6"):
+        # the strip's own domain, min(mu, 1 - mu) >= 1e-6/pi, ends between
+        # pi - 1e-6 and pi - 1e-7
+        with pytest.raises(ValueError, match=r"min\(mu, 1 - mu\) >= 1e-6/pi"):
             b_tilde_eval(DorffParam(PI - 1e-7), 0.1)
+        assert np.isfinite(b_tilde_eval(DorffParam(PI - 1e-6), 0.1))
 
     def test_coeff_is_scaled_map_coeff(self):
         assert RIGHT.hat_coeff(1) == 1.0
@@ -367,7 +386,7 @@ class TestScalarsTakeTheArrayPath:
             p_hat_eval(HALF, 0.3j),
             dorff_eval(RIGHT, 0.3),
             b_tilde_eval(RIGHT, 0.3),
-            b_strip_coeff(HALF, 3),
+            HALF.hat_coeff(3),
         ):
             assert type(value) is np.complex128
         for d in (RIGHT, DorffParam(2.0)):
@@ -375,19 +394,31 @@ class TestScalarsTakeTheArrayPath:
         assert p_strip_eval(HALF, 0.3) == p_strip_eval(HALF, [0.3])[0]
 
 
-def _mp_map(target, z, mpmath):
-    """kappa [log(1 - lam1 z) - log(1 - lam2 z)] in mpmath, from the
-    target's own doubles: the strip map minus 1, or the Dorff map."""
+def _mp_factors(target, mpmath):
+    """(kappa, lam1, lam2) in mpmath from the target's own doubles: the
+    strip's from its edges, the Dorff map's from delta."""
     if target.family == "strip":
         alpha, beta = mpmath.mpf(target.alpha), mpmath.mpf(target.beta)
         kappa = 1j * (beta - alpha) / mpmath.pi
-        lam1, lam2 = mpmath.expjpi(2 * (1 - alpha) / (beta - alpha)), 1
-    else:
-        delta = mpmath.mpf(target.delta)
-        kappa = 1 / (2j * mpmath.sin(delta))
-        lam1, lam2 = -mpmath.expj(delta), -mpmath.expj(-delta)
+        return kappa, mpmath.expjpi(2 * (1 - alpha) / (beta - alpha)), 1
+    delta = mpmath.mpf(target.delta)
+    kappa = 1 / (2j * mpmath.sin(delta))
+    return kappa, -mpmath.expj(delta), -mpmath.expj(-delta)
+
+
+def _mp_map(target, z, mpmath):
+    """kappa [log(1 - lam1 z) - log(1 - lam2 z)] in mpmath: the strip
+    map minus 1, or the Dorff map."""
+    kappa, lam1, lam2 = _mp_factors(target, mpmath)
     z = mpmath.mpc(z.real, z.imag)
     return complex(kappa * (mpmath.log(1 - lam1 * z) - mpmath.log(1 - lam2 * z)))
+
+
+def _mp_integrated_map(target, z, mpmath):
+    """kappa [Li_2(lam2 z) - Li_2(lam1 z)] in mpmath: the integrated map."""
+    kappa, lam1, lam2 = _mp_factors(target, mpmath)
+    z = mpmath.mpc(z.real, z.imag)
+    return complex(kappa * (mpmath.polylog(2, lam2 * z) - mpmath.polylog(2, lam1 * z)))
 
 
 def _disc_and_ring(seed):
@@ -400,15 +431,41 @@ def _disc_and_ring(seed):
 class TestMapAccuracy:
     def test_dorff_map_near_pi_against_mpmath(self):
         # the two logs nearly cancel as delta nears pi; one log of the
-        # ratio keeps the digits their difference lost (2.6e-10 at pi - 1e-6)
+        # ratio keeps the digits their difference lost (2.6e-10 at pi - 1e-6).
+        # The map needs nothing of the strip, so both families' evaluators
+        # read the turned strip up to the last double below pi
         mpmath = pytest.importorskip("mpmath")
         z = _disc_and_ring(47)
-        with mpmath.workdps(30):
-            for delta in (2.0, 3.0, 3.14, 3.1415, PI - 1e-6):
+        with mpmath.workdps(40):
+            for delta in (2.0, 3.0, 3.14, 3.1415, PI - 1e-6, PI - 1e-9, np.nextafter(PI, 0.0)):
                 d = DorffParam(delta)
                 exact = np.array([_mp_map(d, x, mpmath) for x in z])
-                got = dorff_eval(d, z)
-                assert np.all(np.abs(got - exact) <= 1e-14 * np.abs(exact)), delta
+                for got in (dorff_eval(d, z), p_strip_eval(d, z) - 1.0):
+                    assert np.all(np.abs(got - exact) <= 1e-14 * np.abs(exact)), delta
+
+    @pytest.mark.parametrize(
+        "target",
+        [StripParams(-1e9, 1.000000001), StripParams(1.0 - 1e-12, 2.0), DorffParam(PI - 1e-7)],
+        ids=repr,
+    )
+    def test_integrated_map_refuses_a_phase_near_the_edge(self, target):
+        # min(mu, 1 - mu) below 1e-6/pi, whatever the family: against
+        # mpmath the first strip's Li_2 difference erred by up to 4.1
+        # relative, the second's by 6.0e-5
+        for evaluate in (p_hat_eval, b_tilde_eval):
+            with pytest.raises(ValueError, match=r"min\(mu, 1 - mu\) >= 1e-6/pi"):
+                evaluate(target, 0.5)
+
+    @pytest.mark.parametrize("target", [DorffParam(PI - 1e-6), StripParams(-1e3, 1.001)], ids=repr)
+    def test_integrated_map_near_the_edge_against_mpmath(self, target):
+        # the Li_2 difference keeps ~eps/min(mu, 1 - mu): up to 3.9e-10 and
+        # 7.2e-11 relative on all 164 points
+        mpmath = pytest.importorskip("mpmath")
+        z = _disc_and_ring(67)[::4]
+        with mpmath.workdps(40):
+            exact = np.array([_mp_integrated_map(target, x, mpmath) for x in z])
+        for evaluate in (p_hat_eval, b_tilde_eval):
+            assert np.all(np.abs(evaluate(target, z) - exact) <= 1e-9 * np.abs(exact))
 
     def test_strip_map_near_unit_phase_against_mpmath(self):
         # mu = 1 - 1e-6: the map minus 1 is kappa log(1 + w) with a small w.
@@ -454,7 +511,7 @@ class TestMapAccuracy:
             exact = np.array(
                 [complex(p.width / (k * mpmath.pi) * 1j * (1 - e)) for k, e in zip(n, phase)]
             )
-        got = b_strip_coeff(p, n)
+        got = n * p.hat_coeff(n)
         assert np.all(np.abs(got - exact) <= 1e-14 * np.abs(exact))
 
 

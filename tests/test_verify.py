@@ -16,7 +16,6 @@ from stripcoef.maps import (
     _PI_LOW,
     DorffParam,
     StripParams,
-    b_strip_coeff,
     b_tilde_eval,
     dorff_eval,
     p_hat_eval,
@@ -176,7 +175,7 @@ class TestPerNBounds:
         for _ in range(10):
             p = random_strip_params(rng)
             for n in (1, 2, 7):
-                expected = abs(b_strip_coeff(p, 1)) / (2.0 * n)
+                expected = abs(p.hat_coeff(1)) / (2.0 * n)
                 assert abs(p.per_n_bound(n) - expected) < 1e-15
 
     def test_starlike_limit(self):
@@ -803,8 +802,8 @@ class TestDorffIsAStrip:
         d = DorffParam(delta)
         n = np.arange(1, order + 1)
         eps, sin = (PI - delta) + _PI_LOW, np.sin(delta)
-        assert d.lower == pytest.approx(1.0 - eps / (2.0 * sin), rel=1e-12, abs=0.0)
-        assert d.upper == pytest.approx(1.0 + delta / (2.0 * sin), rel=1e-12, abs=0.0)
+        assert d.alpha == pytest.approx(1.0 - eps / (2.0 * sin), rel=1e-12, abs=0.0)
+        assert d.beta == pytest.approx(1.0 + delta / (2.0 * sin), rel=1e-12, abs=0.0)
         want = (delta * eps) ** 2 / (24.0 * sin**2)
         assert d.sum_bound() == pytest.approx(want, rel=1e-12, abs=0.0)
         assert np.allclose(d.per_n_bound(n), 0.5 / n, rtol=1e-12, atol=0.0)
@@ -815,6 +814,6 @@ class TestDorffIsAStrip:
         assert gammas.dtype == float
         assert np.max(np.abs(gammas - exact)) <= 1e-12 * np.max(np.abs(exact))
         # unturned, the strip's gamma_n is the Dorff gamma_n times (-e^{-i delta})^n
-        strip = extremal_gammas(StripParams(d.lower, d.upper), order)
+        strip = extremal_gammas(StripParams(d.alpha, d.beta), order)
         rotated = exact * (-np.exp(-1j * delta)) ** n
         assert np.max(np.abs(strip - rotated)) <= 1e-12 * np.max(np.abs(exact))
