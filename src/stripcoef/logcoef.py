@@ -9,7 +9,11 @@ through a closed-form Schwarz function omega(z) = s u B(u) at u = z^k,
 with |s| <= 1 and B a finite Blaschke product (so every precondition is
 provable, never sampled).  The extremal function itself is the member
 with omega(z) = z: ``generate_member(target, SchwarzSpec.identity(),
-order)``.
+order)``.  A target is either strip class, read only through its methods
+(``factors``, ``hat_coeff``, ``hat_rotation``, the bounds), so no target
+class is imported here.  The one seeded draw is
+:func:`random_schwarz_spec`, which ``generate --seed`` and
+``check-membership`` use.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import DorffParam, StripParams, _number, _store_numbers
+from .maps import _number, _store_numbers
 from .series import TruncatedSeries, _require_order, log_normalized, series_exp
 
 __all__ = [
@@ -29,8 +33,6 @@ __all__ = [
     "extremal_gammas",
     "koebe_rotation",
     "generate_member",
-    "random_strip_params",
-    "random_dorff_param",
     "random_schwarz_spec",
 ]
 
@@ -263,16 +265,6 @@ def _cauchy_length(target, q: float, k: int, m: int) -> int:
         return x * log_q + math.log((1 + k * x) * (1.0 - q) + k * q) <= limit
 
     return bisect.bisect_left(range(m), True, key=below)
-
-
-def random_strip_params(rng: np.random.Generator) -> StripParams:
-    """alpha ~ U[-2, 0.9], beta ~ U[1.1, 4]."""
-    return StripParams(rng.uniform(-2.0, 0.9), rng.uniform(1.1, 4.0))
-
-
-def random_dorff_param(rng: np.random.Generator) -> DorffParam:
-    """delta ~ U[pi/2, pi - 1e-3]."""
-    return DorffParam(rng.uniform(np.pi / 2.0, np.pi - 1e-3))
 
 
 def random_schwarz_spec(rng: np.random.Generator) -> SchwarzSpec:

@@ -101,7 +101,7 @@ class StripParams:
         (width/(n pi)) i (1 - e^{2 pi i s r}), is at most 2 width/(n pi)."""
         n = _check_index(n)
         s, _, r, _ = _reduced_phase(self, n)
-        one_minus_phase = _complex(2.0 * np.sin(np.pi * r) ** 2, -s * np.sin(2.0 * np.pi * r))
+        one_minus_phase = _complex(2.0 * np.square(np.sin(np.pi * r)), -s * np.sin(2.0 * np.pi * r))
         return (self.width / (n * np.pi)) * 1j * one_minus_phase / n
 
     def hat_rotation(self, n):

@@ -1,4 +1,4 @@
-"""Reference constructions that only the tests need.
+"""Reference constructions and seeded target draws that only the tests need.
 
 Each gives an independent route to a quantity the package computes in
 closed form or by a faster path: Horner evaluation against the circle
@@ -280,3 +280,13 @@ def coeffs_by_circle_sampling(
     coeffs = np.fft.fft(vals)[: order + 1] / m
     coeffs *= radius ** -np.arange(order + 1)
     return TruncatedSeries(coeffs)
+
+
+def random_strip_params(rng: np.random.Generator) -> StripParams:
+    """alpha ~ U[-2, 0.9], beta ~ U[1.1, 4]."""
+    return StripParams(rng.uniform(-2.0, 0.9), rng.uniform(1.1, 4.0))
+
+
+def random_dorff_param(rng: np.random.Generator) -> DorffParam:
+    """delta ~ U[pi/2, pi - 1e-3]."""
+    return DorffParam(rng.uniform(np.pi / 2.0, np.pi - 1e-3))

@@ -17,9 +17,7 @@ from stripcoef.logcoef import (
     generate_member,
     koebe_rotation,
     log_coefficients,
-    random_dorff_param,
     random_schwarz_spec,
-    random_strip_params,
 )
 from stripcoef.maps import (
     DorffParam,
@@ -42,7 +40,12 @@ from stripcoef.verify import (
     sum_tail,
 )
 
-from oracles import b_strip_coeff, coeffs_by_circle_sampling
+from oracles import (
+    b_strip_coeff,
+    coeffs_by_circle_sampling,
+    random_dorff_param,
+    random_strip_params,
+)
 
 PI = np.pi
 

@@ -15,6 +15,10 @@ from stripcoef.verify import BoundReport, VIOLATED
 from stripcoef.cli import _exit_code
 
 PI = np.pi
+# strip and Dorff cases of a family-blind check, with the closed form each
+# takes at its analytic point
+STRIP_POINT = (["--alpha", "0.5", "--beta", "1.5"], PI**2 / 96.0)
+DORFF_POINT = (["--delta", repr(PI / 2.0)], PI**4 / 384.0)
 
 
 def run_cli(*args):
@@ -27,21 +31,17 @@ def run_cli(*args):
 
 
 class TestBoundsCommand:
-    def test_strip_bound_value(self):
-        proc = run_cli("bounds", "--alpha", "0.5", "--beta", "1.5")
+    @pytest.mark.parametrize("target, exact", [STRIP_POINT, DORFF_POINT], ids=["strip", "dorff"])
+    def test_bound_value(self, target, exact):
+        proc = run_cli("bounds", *target)
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["command"] == "bounds"
         assert payload["version"]
         report = payload["reports"][0]
-        assert abs(report["rhs"] - PI**2 / 96.0) < 1e-12
+        assert abs(report["rhs"] - exact) < 1e-12
         assert "pi2_over_6" in report["context"]
         assert "roth" in report["context"]
-
-    def test_dorff_bound_value(self):
-        proc = run_cli("bounds", "--delta", str(PI / 2.0))
-        report = json.loads(proc.stdout)["reports"][0]
-        assert abs(report["rhs"] - PI**4 / 384.0) < 1e-12
 
     def test_dorff_bound_near_pi(self, capsys):
         # delta^2 (pi - delta)^2 / (24 sin^2 delta) -> pi^2/24 as delta -> pi;
@@ -107,20 +107,16 @@ class TestCoeffsCommand:
 
 
 class TestVerifySharpnessCommand:
-    def test_dorff_point(self):
-        proc = run_cli(
-            "verify-sharpness", "--delta", repr(PI / 2.0), "--order", "4096"
-        )
+    @pytest.mark.parametrize(
+        "point, order", [(STRIP_POINT, "2048"), (DORFF_POINT, "4096")], ids=["strip", "dorff"]
+    )
+    def test_point(self, point, order):
+        target, exact = point
+        proc = run_cli("verify-sharpness", *target, "--order", order)
         assert proc.returncode == 0
         report = json.loads(proc.stdout)["reports"][0]
         assert report["verdict"] == "holds-with-equality"
-        assert abs(report["lhs"] - PI**4 / 384.0) <= report["tail_estimate"]
-
-    def test_strip_point(self):
-        proc = run_cli(
-            "verify-sharpness", "--alpha", "0.5", "--beta", "1.5", "--order", "2048"
-        )
-        assert proc.returncode == 0
+        assert abs(report["lhs"] - exact) <= report["tail_estimate"]
 
     def test_tolerance_is_honoured(self, monkeypatch, capsys):
         # a bound raised by 1e-7 sits beyond the tail estimate (6.6e-11 at

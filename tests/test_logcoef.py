@@ -12,9 +12,7 @@ from stripcoef.logcoef import (
     generate_member,
     koebe_rotation,
     log_coefficients,
-    random_dorff_param,
     random_schwarz_spec,
-    random_strip_params,
 )
 from stripcoef.maps import DorffParam, StripParams
 from stripcoef.series import TruncatedSeries, series_exp
@@ -30,6 +28,8 @@ from oracles import (
     log_p,
     p_strip_series,
     power_member_full_order,
+    random_dorff_param,
+    random_strip_params,
     schwarz_series,
     shift,
     zero_free_member_full_length,
@@ -407,15 +407,10 @@ class TestPowers:
 class TestGenerateMember:
     # the extremal function z exp(integrated map), from the integrated-map
     # coefficients rather than the factor logs
-    def test_identity_reproduces_extremal_strip(self):
-        f = shift(series_exp(hat_series(HALF, 127)))
-        g = generate_member(HALF, ID, 128)
-        assert np.max(np.abs(f.coeffs - g.coeffs)) < 1e-12
-
-    def test_identity_reproduces_extremal_dorff(self):
-        d = DorffParam(2.0)
-        f = shift(series_exp(hat_series(d, 127)))
-        g = generate_member(d, ID, 128)
+    @pytest.mark.parametrize("target", [HALF, DorffParam(2.0)], ids=["strip", "dorff"])
+    def test_identity_reproduces_extremal(self, target):
+        f = shift(series_exp(hat_series(target, 127)))
+        g = generate_member(target, ID, 128)
         assert np.max(np.abs(f.coeffs - g.coeffs)) < 1e-12
 
     def test_zero_inner_function_gives_identity_map(self):

@@ -15,6 +15,7 @@ from stripcoef.maps import (
     p_hat_eval,
     p_strip_eval,
 )
+from stripcoef.series import TruncatedSeries
 from oracles import (
     b_strip_coeff,
     coeffs_by_circle_sampling,
@@ -28,6 +29,8 @@ from oracles import (
 PI = np.pi
 HALF = StripParams(0.5, 1.5)  # mu = 1/2
 RIGHT = DorffParam(PI / 2.0)
+# case ids of a family-blind check run once over each class
+FAMILIES = ["strip", "dorff"]
 
 
 def polar_grid(radii, angles):
@@ -114,10 +117,6 @@ class TestStripMap:
     def test_value_at_origin(self):
         assert p_strip_eval(HALF, 0.0) == 1.0
 
-    def test_rejects_boundary(self):
-        with pytest.raises(ValueError):
-            p_strip_eval(HALF, 1.0)
-
     def test_first_coefficient_symmetric_strip(self):
         assert abs(HALF.hat_coeff(1) - 2j / PI) < 1e-15
 
@@ -187,27 +186,6 @@ class TestStripMap:
         assert abs(got - series) < 1e-15
         assert 0.5 < got.real < 1.5
 
-    def test_coefficients_match_circle_sampling(self):
-        # r = 0.5 amplifies the sampled values' rounding by 2**n at index n:
-        # at n = 32 correctly rounded values already read 7.5e-9, at n = 24
-        # the floor is ~100x under 1e-8 and a 1e-12 relative error in the
-        # values still reads 1.2e-7
-        sampled = coeffs_by_circle_sampling(
-            lambda z: p_strip_eval(HALF, z), 24, 0.5, samples=2048
-        )
-        exact = p_strip_series(HALF, 24)
-        assert np.max(np.abs(sampled.coeffs - exact.coeffs)) < 1e-8
-        # a target's map coefficients are n hat_coeff(n) for both families;
-        # delta = pi/2 takes the strip's nu branch (s = -1), and the
-        # unturned strip coefficient of a DorffParam is not its map's
-        n = np.arange(1, 25)
-        for d in (RIGHT, DorffParam(2.0), DorffParam(PI - 1e-3)):
-            sampled = coeffs_by_circle_sampling(
-                lambda z: p_strip_eval(d, z) - 1.0, 24, 0.5, samples=2048
-            )
-            assert abs(sampled.coeffs[0]) < 1e-15
-            assert np.max(np.abs(sampled.coeffs[1:] - n * d.hat_coeff(n))) < 1e-8, d
-
 
 class TestIntegratedStripMap:
     def test_coeff_is_scaled_map_coeff(self):
@@ -222,23 +200,6 @@ class TestIntegratedStripMap:
     def test_symmetric_values(self):
         assert abs(HALF.hat_coeff(1) - 2j / PI) < 1e-15
         assert abs(HALF.hat_coeff(3) - 2j / (9 * PI)) < 1e-15
-
-    def test_pointwise_matches_series(self):
-        rng = np.random.default_rng(17)
-        s = hat_series(HALF, 512)
-        for _ in range(10):
-            z = 0.5 * np.sqrt(rng.uniform()) * np.exp(2j * PI * rng.uniform())
-            assert abs(p_hat_eval(HALF, z) - evaluate(s, z)) < 1e-12
-
-    def test_series_is_integral_of_map_series(self):
-        lhs = hat_series(HALF, 64)
-        p = p_strip_series(HALF, 64)
-        shifted = np.concatenate([[0.0], p.coeffs[1:]])  # P - 1
-        from stripcoef.series import TruncatedSeries
-
-        rhs = integrate_over_t(TruncatedSeries(shifted))
-        assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-15
-
 
     def test_parity_sign_is_the_power(self):
         # hat_rotation's sign (-1)^j, by parity instead of a power, to the bit
@@ -273,10 +234,6 @@ class TestIntegratedStripMap:
 class TestDorffMap:
     def test_vanishes_at_origin(self):
         assert dorff_eval(RIGHT, 0.0) == 0.0
-
-    def test_rejects_boundary(self):
-        with pytest.raises(ValueError):
-            dorff_eval(RIGHT, -1.0)
 
     def test_rejects_delta_at_parameter_boundary(self):
         # delta = pi is no target; the map reads every delta below it
@@ -324,15 +281,6 @@ class TestDorffMap:
         assert np.all(re > -PI / 4.0)
         assert np.all(re < PI / 4.0)
 
-    def test_coefficients_match_circle_sampling(self):
-        # n <= 24, as for the strip map
-        d = DorffParam(2.2)
-        sampled = coeffs_by_circle_sampling(
-            lambda z: dorff_eval(d, z), 24, 0.5, samples=2048
-        )
-        exact = dorff_series(d, 24)
-        assert np.max(np.abs(sampled.coeffs - exact.coeffs)) < 1e-8
-
 
 class TestIntegratedDorffMap:
     def test_rejects_delta_at_parameter_boundary(self):
@@ -352,30 +300,76 @@ class TestIntegratedDorffMap:
             tau, rho = d.hat_rotation(n)
             assert tau == 1.0 and np.array_equal(rho, d.hat_coeff(n))
 
-    def test_series_is_integral_of_map_series(self):
-        d = DorffParam(2.5)
-        lhs = hat_series(d, 64)
-        rhs = integrate_over_t(dorff_series(d, 64))
-        assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-15
 
-    def test_pointwise_matches_series(self):
-        rng = np.random.default_rng(29)
-        d = DorffParam(2.0)
-        s = hat_series(d, 512)
+class TestMap:
+    @pytest.mark.parametrize(
+        "target, evaluate, z", [(HALF, p_strip_eval, 1.0), (RIGHT, dorff_eval, -1.0)], ids=FAMILIES
+    )
+    def test_rejects_boundary(self, target, evaluate, z):
+        with pytest.raises(ValueError):
+            evaluate(target, z)
+
+    @pytest.mark.parametrize(
+        "target, evaluate, series",
+        [(HALF, p_strip_eval, p_strip_series), (DorffParam(2.2), dorff_eval, dorff_series)],
+        ids=FAMILIES,
+    )
+    def test_coefficients_match_circle_sampling(self, target, evaluate, series):
+        # r = 0.5 amplifies the sampled values' rounding by 2**n at index n:
+        # at n = 32 correctly rounded values already read 7.5e-9, at n = 24
+        # the floor is ~100x under 1e-8 and a 1e-12 relative error in the
+        # values still reads 1.2e-7
+        sampled = coeffs_by_circle_sampling(lambda z: evaluate(target, z), 24, 0.5, samples=2048)
+        exact = series(target, 24)
+        assert np.max(np.abs(sampled.coeffs - exact.coeffs)) < 1e-8
+
+    def test_map_coefficients_are_n_hat_coeff(self):
+        # for the turned strip as well: delta = pi/2 takes the strip's nu
+        # branch (s = -1), and the unturned strip coefficient of a
+        # DorffParam is not its map's
+        n = np.arange(1, 25)
+        for d in (RIGHT, DorffParam(2.0), DorffParam(PI - 1e-3)):
+            sampled = coeffs_by_circle_sampling(
+                lambda z: p_strip_eval(d, z) - 1.0, 24, 0.5, samples=2048
+            )
+            assert abs(sampled.coeffs[0]) < 1e-15
+            assert np.max(np.abs(sampled.coeffs[1:] - n * d.hat_coeff(n))) < 1e-8, d
+
+
+class TestIntegratedMap:
+    @pytest.mark.parametrize(
+        "seed, target, integrated",
+        [(17, HALF, p_hat_eval), (29, DorffParam(2.0), b_tilde_eval)],
+        ids=FAMILIES,
+    )
+    def test_pointwise_matches_series(self, seed, target, integrated):
+        rng = np.random.default_rng(seed)
+        s = hat_series(target, 512)
         for _ in range(10):
             z = 0.5 * np.sqrt(rng.uniform()) * np.exp(2j * PI * rng.uniform())
-            assert abs(b_tilde_eval(d, z) - evaluate(s, z)) < 1e-12
+            assert abs(integrated(target, z) - evaluate(s, z)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "target, series", [(HALF, p_strip_series), (DorffParam(2.5), dorff_series)], ids=FAMILIES
+    )
+    def test_series_is_integral_of_map_series(self, target, series):
+        lhs = hat_series(target, 64)
+        minus_center = np.concatenate([[0.0], series(target, 64).coeffs[1:]])
+        rhs = integrate_over_t(TruncatedSeries(minus_center))
+        assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-15
 
 
 class TestScalarsTakeTheArrayPath:
     """A scalar point or index returns the NumPy scalar the array
     arithmetic gives, so it rounds as the array entry does."""
 
-    @pytest.mark.parametrize("target", [StripParams(-1.3, 3.7), DorffParam(2.9)], ids=repr)
+    WIDE = StripParams(-1426325.2671260664, 1.0124230516919388)
+
+    @pytest.mark.parametrize("target", [StripParams(-1.3, 3.7), DorffParam(2.9), WIDE], ids=repr)
     def test_scalar_hat_coeff_is_the_array_entry(self, target):
-        # a Python-int n divided in Python's complex arithmetic: 86 of these
-        # 199 strip coefficients differed from the array's in the last bit
-        n = np.arange(1, 200)
+        # Python's complex division of a Python-int n, or libm pow squaring a
+        # NumPy scalar sine (n = 299 of the wide strip), moves the last bit
+        n = np.arange(1, 300)
         whole = target.hat_coeff(n)
         scalars = np.array([target.hat_coeff(int(k)) for k in n])
         assert scalars.tobytes() == whole.tobytes()

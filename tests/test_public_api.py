@@ -32,14 +32,14 @@ def test_benchmark_names_resolve():
     assert sorted(n for n in names if not hasattr(stripcoef, n)) == []
 
 
-def test_per_family_names_are_the_classes_draws_and_benchmark_names():
+def test_per_family_names_are_the_classes_and_benchmark_names():
     # one strip class serves both families down to the coefficients, so a
-    # name per family is only a class, a seeded draw or a name the
-    # benchmark calls (it wraps each by identity, so none is an alias)
+    # name per family is only a class or a name the benchmark calls (it
+    # wraps each by identity, so none is an alias); the seeded draws are
+    # the tests' own (tests/oracles.py)
     family = re.compile("strip|dorff", re.IGNORECASE)
     called = set(re.findall(r"\bsc\.(\w+)", WORKLOADS.read_text()))
-    kept = {"StripParams", "DorffParam", "random_strip_params", "random_dorff_param"}
-    kept |= {n for n in called if family.search(n)}
+    kept = {"StripParams", "DorffParam"} | {n for n in called if family.search(n)}
     assert {n for n in stripcoef.__all__ if family.search(n)} == kept
 
 

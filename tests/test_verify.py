@@ -9,8 +9,6 @@ from stripcoef.logcoef import (
     extremal_gammas,
     generate_member,
     koebe_rotation,
-    random_dorff_param,
-    random_strip_params,
 )
 from stripcoef.maps import (
     _PI_LOW,
@@ -42,11 +40,20 @@ from stripcoef.verify import (
     sum_tail,
 )
 
-from oracles import convexity_quantity, dorff_coeff, identity, membership_extremes
+from oracles import (
+    convexity_quantity,
+    dorff_coeff,
+    identity,
+    membership_extremes,
+    random_dorff_param,
+    random_strip_params,
+)
 
 PI = np.pi
 HALF = StripParams(0.5, 1.5)
 RIGHT = DorffParam(PI / 2.0)
+# case ids of a family-blind check run once over each class
+FAMILIES = ["strip", "dorff"]
 
 
 def four_maps(p, d):
@@ -80,19 +87,15 @@ class TestBounds:
         brute = float(np.sum(np.sin(n * d.delta) ** 2 / (4.0 * np.sin(d.delta) ** 2 * n**4.0)))
         assert abs(d.sum_bound() - brute) < 1e-9
 
-    def test_strip_equals_extremal_square_sum(self):
-        rng = np.random.default_rng(73)
+    @pytest.mark.parametrize(
+        "draw, seed", [(random_strip_params, 73), (random_dorff_param, 79)], ids=FAMILIES
+    )
+    def test_equals_extremal_square_sum(self, draw, seed):
+        rng = np.random.default_rng(seed)
         for _ in range(5):
-            p = random_strip_params(rng)
-            gammas = extremal_gammas(p, 4096)
-            assert abs(sum_gamma_sq(gammas) - p.sum_bound()) <= sum_tail(p, 4096)
-
-    def test_dorff_equals_extremal_square_sum(self):
-        rng = np.random.default_rng(79)
-        for _ in range(5):
-            d = random_dorff_param(rng)
-            gammas = extremal_gammas(d, 4096)
-            assert abs(sum_gamma_sq(gammas) - d.sum_bound()) <= sum_tail(d, 4096)
+            target = draw(rng)
+            gammas = extremal_gammas(target, 4096)
+            assert abs(sum_gamma_sq(gammas) - target.sum_bound()) <= sum_tail(target, 4096)
 
     @pytest.mark.parametrize("alpha, beta", [(-1e11, 1.001), (-1e12, 1.001), (-1e13, 1.01)])
     def test_extremal_sum_below_bound_as_mu_nears_one(self, alpha, beta):
@@ -316,28 +319,21 @@ class TestMembership:
         assert report.verdict == HOLDS
         assert report.lhs == 0.0
 
-    def test_extremal_strip_holds(self):
-        f = generate_member(HALF, SchwarzSpec.identity(), 2048)
-        report = membership_check(f, HALF, 0.99, 512)
+    @pytest.mark.parametrize("target", [HALF, DorffParam(2.4)], ids=FAMILIES)
+    def test_extremal_holds(self, target):
+        f = generate_member(target, SchwarzSpec.identity(), 2048)
+        report = membership_check(f, target, 0.99, 512)
         assert report.verdict == HOLDS
-        assert HALF.alpha < report.context["re_min"]
-        assert report.context["re_max"] < HALF.beta
-
-    def test_extremal_dorff_holds(self):
-        d = DorffParam(2.4)
-        f = generate_member(d, SchwarzSpec.identity(), 2048)
-        report = membership_check(f, d, 0.99, 512)
-        assert report.verdict == HOLDS
+        assert target.alpha < report.context["re_min"]
+        assert report.context["re_max"] < target.beta
 
     def test_extremals_belong_to_their_own_class_on_random_draws(self):
         rng = np.random.default_rng(107)
         for _ in range(5):
-            p = random_strip_params(rng)
-            f = generate_member(p, SchwarzSpec.identity(), 2048)
-            assert membership_check(f, p, 0.99, 256).verdict == HOLDS
-            d = random_dorff_param(rng)
-            f = generate_member(d, SchwarzSpec.identity(), 2048)
-            assert membership_check(f, d, 0.99, 256).verdict == HOLDS
+            for draw in (random_strip_params, random_dorff_param):
+                target = draw(rng)
+                f = generate_member(target, SchwarzSpec.identity(), 2048)
+                assert membership_check(f, target, 0.99, 256).verdict == HOLDS
 
     def test_koebe_violates_strip(self):
         f, _ = koebe_rotation(1.0, 2048)
@@ -447,17 +443,16 @@ class TestConvexityProbe:
         assert report.verdict == HOLDS
         assert abs(report.context["re_min"] - 1.0) < 1e-9
 
-    def test_strip_map_and_integrated_variant(self):
-        for h in (lambda z: p_strip_eval(HALF, z), lambda z: p_hat_eval(HALF, z)):
-            report = convexity_probe(h, 0.99, 128)
+    @pytest.mark.parametrize(
+        "target, maps",
+        [(HALF, (p_strip_eval, p_hat_eval)), (DorffParam(2.7), (dorff_eval, b_tilde_eval))],
+        ids=FAMILIES,
+    )
+    def test_map_and_integrated_variant(self, target, maps):
+        for evaluate in maps:
+            report = convexity_probe(lambda z: evaluate(target, z), 0.99, 128)
             assert report.verdict == HOLDS
             assert report.context["re_min"] > 0.0
-
-    def test_dorff_map_and_integrated_variant(self):
-        d = DorffParam(2.7)
-        for h in (lambda z: dorff_eval(d, z), lambda z: b_tilde_eval(d, z)):
-            report = convexity_probe(h, 0.99, 128)
-            assert report.verdict == HOLDS
 
     def test_negative_control(self):
         report = convexity_probe(lambda z: z + 2.0 * z * z, 0.9, 128, order=64)
@@ -697,20 +692,19 @@ class TestReport:
 
 
 class TestSharpness:
-    def test_strip_random_draws(self):
-        rng = np.random.default_rng(101)
+    @pytest.mark.parametrize(
+        "check, draw, seed",
+        [(sharpness_strip, random_strip_params, 101), (sharpness_dorff, random_dorff_param, 103)],
+        ids=FAMILIES,
+    )
+    def test_random_draws(self, check, draw, seed):
+        rng = np.random.default_rng(seed)
         for _ in range(5):
-            report = sharpness_strip(random_strip_params(rng), order=2048)
-            assert report.verdict == EQUALITY
-
-    def test_dorff_random_draws(self):
-        rng = np.random.default_rng(103)
-        for _ in range(5):
-            report = sharpness_dorff(random_dorff_param(rng), order=2048)
+            report = check(draw(rng), order=2048)
             assert report.verdict == EQUALITY
 
     @pytest.mark.parametrize(
-        "target", [StripParams(-1e8, 1.5), DorffParam(np.nextafter(PI, 0.0))], ids=["strip", "dorff"]
+        "target", [StripParams(-1e8, 1.5), DorffParam(np.nextafter(PI, 0.0))], ids=FAMILIES
     )
     def test_tight_tail_at_the_class_edges(self, target):
         # C^2/(3 N^3) read 4.9e3 and 3.8e18 here
@@ -741,17 +735,18 @@ class TestSharpness:
 
 
 class TestAuditMember:
-    def test_strip_member_all_hold(self):
-        spec = SchwarzSpec("blaschke-factor", a=0.3, phi=1.0)
-        g = generate_member(HALF, spec, 2048)
-        reports = audit_member(g, HALF, 0.99, 256)
+    @pytest.mark.parametrize(
+        "target, spec",
+        [
+            (HALF, SchwarzSpec("blaschke-factor", a=0.3, phi=1.0)),
+            (DorffParam(2.0), SchwarzSpec("power", c=0.8j, k=3)),
+        ],
+        ids=FAMILIES,
+    )
+    def test_member_all_hold(self, target, spec):
+        g = generate_member(target, spec, 2048)
+        reports = audit_member(g, target, 0.99, 256)
         assert len(reports) == 4
-        assert all(r.verdict != VIOLATED for r in reports)
-
-    def test_dorff_member_all_hold(self):
-        d = DorffParam(2.0)
-        g = generate_member(d, SchwarzSpec("power", c=0.8j, k=3), 2048)
-        reports = audit_member(g, d, 0.99, 256)
         assert all(r.verdict != VIOLATED for r in reports)
 
     def test_min_order(self):
